@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .formula import negate
+from .formula import negate, show
 from .diagram import (
     AxGate,
     BigGate,
@@ -34,17 +34,13 @@ from .diagram import (
     OpSeq,
     TensorGate,
     TwistGate,
-    L,
-    R,
     compose_seq,
     identity,
-    interchange_canonical_form,
-    is_formula_label,
     parallel,
     single,
 )
-from .matching import rewrite_block
-from .perm import Permutation, canonical_perm_diagram, ladder_left_word
+from .matching import MatchSite, rewrite_block, site_of, sorted_sites
+from .perm import Permutation, canonical_perm_diagram, ladder_left_word, ladder_right_word
 
 
 class NoCrossingSplit(DiagramError):
@@ -53,26 +49,6 @@ class NoCrossingSplit(DiagramError):
 
 class NotIrreducible(DiagramError):
     pass
-
-
-@dataclass(frozen=True)
-class ProcSite:
-    rule: str
-    g_ops: tuple[int, ...]
-    payload: tuple
-    layer_span: tuple[int, int]
-    offset: int
-    fingerprint: int
-
-
-def _layout(phi: Diagram) -> list[tuple[int, int]]:
-    return [(li, col) for li, col, _ in phi.gates()]
-
-
-def _mk_site(phi, layout, rule, g_ops, payload=()) -> ProcSite:
-    layers = [layout[i][0] for i in g_ops]
-    cols = [layout[i][1] for i in g_ops]
-    return ProcSite(rule, tuple(g_ops), tuple(payload), (min(layers), max(layers)), min(cols), hash(phi))
 
 
 def _is_split(gate) -> bool:
@@ -157,8 +133,6 @@ def _preferred_axiom(f) -> bool:
     treating exactly one orientation as split-bearing makes untangling
     terminate and lands on the arrangement whose axiom is preferred.
     """
-    from .formula import show
-
     return show(f) <= show(negate(f))
 
 
@@ -215,9 +189,8 @@ def _big_ranges(bop) -> tuple[range, range, int, int]:
     return left, right, len(lw), len(rw)
 
 
-def _find_untangle(phi: Diagram, side: str) -> list[ProcSite]:
+def _find_untangle(phi: Diagram, side: str) -> list[MatchSite]:
     tseq = OpSeq.of(phi)
-    layout = _layout(phi)
     rule = f"untangle-{side}"
     sites = []
     for bi, bop in enumerate(tseq.ops):
@@ -236,19 +209,19 @@ def _find_untangle(phi: Diagram, side: str) -> list[ProcSite]:
                 continue
             if all(p in rng for p in pos):
                 j = min(pos) - rng.start
-                sites.append(_mk_site(phi, layout, rule, (gi, bi), (side, j)))
-    return sorted(sites, key=lambda s: (s.layer_span[0], s.offset, s.g_ops))
+                sites.append(site_of(phi, rule, (gi, bi), payload=(side, j)))
+    return sorted_sites(sites)
 
 
-def find_untangle_left(phi: Diagram) -> list[ProcSite]:
+def find_untangle_left(phi: Diagram) -> list[MatchSite]:
     return _find_untangle(phi, "left")
 
 
-def find_untangle_right(phi: Diagram) -> list[ProcSite]:
+def find_untangle_right(phi: Diagram) -> list[MatchSite]:
     return _find_untangle(phi, "right")
 
 
-def apply_untangle(phi: Diagram, site: ProcSite) -> Diagram:
+def apply_untangle(phi: Diagram, site: MatchSite) -> Diagram:
     side, j = site.payload
     gi, bi = site.g_ops
     tseq = OpSeq.of(phi)
@@ -277,10 +250,9 @@ def apply_untangle(phi: Diagram, site: ProcSite) -> Diagram:
     return rewrite_block(phi, site.g_ops, target)
 
 
-def _find_collapse(phi: Diagram, side: str) -> list[ProcSite]:
+def _find_collapse(phi: Diagram, side: str) -> list[MatchSite]:
     """A bracket-producing 0-ary gate feeding an entire B block vanishes it."""
     tseq = OpSeq.of(phi)
-    layout = _layout(phi)
     rule = f"big-collapse-{side}"
     sites = []
     for bi, bop in enumerate(tseq.ops):
@@ -303,19 +275,19 @@ def _find_collapse(phi: Diagram, side: str) -> list[ProcSite]:
             continue
         if tuple(gop.out_tokens) != tuple(block):
             continue
-        sites.append(_mk_site(phi, layout, rule, (gi, bi), (side,)))
-    return sorted(sites, key=lambda s: (s.layer_span[0], s.offset, s.g_ops))
+        sites.append(site_of(phi, rule, (gi, bi), payload=(side,)))
+    return sorted_sites(sites)
 
 
-def find_collapse_left(phi: Diagram) -> list[ProcSite]:
+def find_collapse_left(phi: Diagram) -> list[MatchSite]:
     return _find_collapse(phi, "left")
 
 
-def find_collapse_right(phi: Diagram) -> list[ProcSite]:
+def find_collapse_right(phi: Diagram) -> list[MatchSite]:
     return _find_collapse(phi, "right")
 
 
-def apply_collapse(phi: Diagram, site: ProcSite) -> Diagram:
+def apply_collapse(phi: Diagram, site: MatchSite) -> Diagram:
     (side,) = site.payload
     gi, bi = site.g_ops
     tseq = OpSeq.of(phi)
@@ -343,18 +315,6 @@ def _bracket_close(labels, start: int) -> int:
             if depth == 0:
                 return i
     raise DiagramError("unbalanced control brackets")
-
-
-def _split_params(gate):
-    if isinstance(gate, TensorGate):
-        return gate.left, gate.right
-    return gate.formula, None  # cut: right determined by negation
-
-
-def _remake_split(gate, left, right):
-    if isinstance(gate, TensorGate):
-        return TensorGate(left, right, True)
-    return CutGate(left, True)
 
 
 def _supported_intro(tseq: OpSeq, sp: Split) -> Optional[tuple]:
@@ -406,12 +366,11 @@ def _supported_intro(tseq: OpSeq, sp: Split) -> Optional[tuple]:
     return (sp.case, ladder, None, ax_op, k)
 
 
-def find_big_intro(phi: Diagram) -> list[ProcSite]:
+def find_big_intro(phi: Diagram) -> list[MatchSite]:
     """Crossing-split introduction sites (B-free, tight-shape splits only)."""
     if any(isinstance(g, BigGate) for _, _, g in phi.gates()):
         return []
     tseq = OpSeq.of(phi)
-    layout = _layout(phi)
     sites = []
     for sp in crossing_splits_of(phi):
         sup = _supported_intro(tseq, sp)
@@ -424,16 +383,9 @@ def find_big_intro(phi: Diagram) -> list[ProcSite]:
         if ax_op is not None:
             members.add(ax_op)
         g_ops = tuple(sorted(members))
-        sites.append(
-            _mk_site(
-                phi,
-                layout,
-                "big-intro",
-                g_ops,
-                (case, sp.alpha, sp.beta, -1 if ax_op is None else ax_op),
-            )
-        )
-    return sorted(sites, key=lambda s: (s.layer_span[0], s.offset, s.g_ops))
+        payload = (case, sp.alpha, sp.beta, -1 if ax_op is None else ax_op)
+        sites.append(site_of(phi, "big-intro", g_ops, payload=payload))
+    return sorted_sites(sites)
 
 
 def _flip_axiom(phi: Diagram, ax_idx: int) -> Diagram:
@@ -441,13 +393,12 @@ def _flip_axiom(phi: Diagram, ax_idx: int) -> Diagram:
     tseq = OpSeq.of(phi)
     g = tseq.ops[ax_idx].gate
     f = g.formula
-    from .formula import negate as neg
 
     def target(local: Diagram) -> Diagram:
-        flipped = single(AxGate(neg(f), True))
+        flipped = single(AxGate(negate(f), True))
         word = flipped.output
         tw = parallel(
-            identity(word[:1]), single(TwistGate(neg(f), f)), identity(word[3:])
+            identity(word[:1]), single(TwistGate(negate(f), f)), identity(word[3:])
         )
         return compose_seq(flipped, tw)
 
@@ -460,7 +411,7 @@ def _block_swap_perm(n1: int, n2: int) -> Permutation:
     return Permutation(tuple(images))
 
 
-def apply_big_intro(phi: Diagram, site: ProcSite) -> Diagram:
+def apply_big_intro(phi: Diagram, site: MatchSite) -> Diagram:
     case, alpha, beta, ax_flip = site.payload
     if ax_flip >= 0:
         # expose the top crossing hidden inside the axiom's orientation,
@@ -496,7 +447,6 @@ def apply_big_intro(phi: Diagram, site: ProcSite) -> Diagram:
             big = BigGate(Qw, Sw)
             step1 = parallel(identity(w[:3]), single(big))
             w1 = step1.output  # P X R | L Sw R | L Qw R
-            alpha2 = _remake_split(aop.gate, X, w1[4] if Sw else None)
             if isinstance(aop.gate, TensorGate):
                 alpha2 = TensorGate(X, Sw[0], True)
             else:
@@ -570,7 +520,7 @@ def apply_big_intro(phi: Diagram, site: ProcSite) -> Diagram:
         aout = alpha2.outputs
         # carry Q1 leftward over (aout, T-rest) to sit after the block's L
         lad_word = w2[3 + len(Pw) : 3 + len(Pw) + len(Tw) - 1 + len(aout) + 1]
-        lad = _ladder_right(lad_word)
+        lad = ladder_right_word(lad_word)
         step3 = parallel(identity(w2[: 3 + len(Pw)]), lad, identity(w2[3 + len(Pw) + len(lad_word) :]))
         w3 = step3.output  # L Pw R | L Q1 Trest aout rest R
         if isinstance(bop.gate, TensorGate):
@@ -592,9 +542,3 @@ def apply_big_intro(phi: Diagram, site: ProcSite) -> Diagram:
         return compose_seq(compose_seq(compose_seq(compose_seq(step1, step2), step3), step4), step5)
 
     return rewrite_block(phi, site.g_ops, target, extend)
-
-
-def _ladder_right(word: tuple) -> Diagram:
-    from .perm import ladder_right_word
-
-    return ladder_right_word(word)

@@ -10,10 +10,9 @@ import argparse
 import json
 import sys
 
-from .diagram import DiagramError, gate_count, interchange_canonical_form
+from .diagram import DiagramError, interchange_canonical_form
 from .diagramio import (
     ParseError,
-    derivation_text,
     diagram_text,
     parse_derivation,
     parse_diagram,
@@ -21,8 +20,8 @@ from .diagramio import (
 )
 from .formula import show
 from .interp import check_decrease, cut_weight, interpretation_for
-from .oracle import ConclusionMismatch, diagrams_equivalent, eliminate_cuts, equivalent
-from .polygraph import FuelExhausted, POLYGRAPH_NAMES, normalize, polygraph
+from .oracle import ConclusionMismatch, eliminate_cuts, equivalent
+from .polygraph import FuelExhausted, normalize, polygraph
 from .render import render_svg, render_tikz
 from .sequent import (
     InvalidRule,
@@ -119,18 +118,11 @@ def cmd_seq(args) -> int:
 
 
 def _step_record(rule_name: str, site) -> dict:
-    rec = {"rule": rule_name}
-    g_ops = getattr(site, "g_ops", None)
-    if g_ops is not None:
-        rec["gates"] = list(g_ops)
-    subst = getattr(site, "substitution", None)
-    if subst:
-        from .formula import show
-
-        rec["substitution"] = {k: show(v) for k, v in subst}
-    payload = getattr(site, "payload", None)
-    if payload:
-        rec["detail"] = [str(x) for x in payload]
+    rec = {"rule": rule_name, "gates": list(site.g_ops)}
+    if site.substitution:
+        rec["substitution"] = {k: show(v) for k, v in site.substitution}
+    if site.payload:
+        rec["detail"] = [str(x) for x in site.payload]
     return rec
 
 

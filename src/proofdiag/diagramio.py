@@ -5,12 +5,11 @@ own parser bit-exactly.
 """
 from __future__ import annotations
 
-from .formula import Formula, FormulaParseError, parse as parse_formula, show
+from .formula import FormulaParseError, parse as parse_formula, show
 from .diagram import (
     AxGate,
     BigGate,
     BotGate,
-    Ctrl,
     CutGate,
     Diagram,
     DiagramError,
@@ -21,6 +20,7 @@ from .diagram import (
     R,
     TensorGate,
     TwistGate,
+    identity,
     is_gate,
     label_str,
 )
@@ -328,24 +328,17 @@ def polygraph_rules_text(p) -> str:
     Metavariables appear as `?A` labels; word-indexed families are dumped at
     width 0 with a note; procedural rules are listed by name only.
     """
-    from .polygraph import ProceduralRule, SchemaRule, SigmaRule, WordRule
-    from .perm import Permutation
-
+    families = {1: "word-indexed", 2: "word-and-permutation-indexed"}
     chunks = [f"polygraph {p.name}", f"# signature: {', '.join(p.signature)}"]
     for rule in p.rules:
         chunks.append(f"rule {rule.name}")
-        if isinstance(rule, SchemaRule):
-            src, tgt = rule.source, rule.target
-        elif isinstance(rule, WordRule):
-            chunks.append("# word-indexed family, shown at width 0")
-            src, tgt = rule.builder(0)
-        elif isinstance(rule, SigmaRule):
-            chunks.append("# word-and-permutation-indexed family, shown at width 0")
-            src, tgt = rule.builder(0, Permutation(()))
-        else:
-            assert isinstance(rule, ProceduralRule)
+        keys = rule.keys(identity(()))  # the family members of width 0
+        if not keys:
             chunks.append(f"# procedural: {rule.note or 'matcher and applier in code'}")
             continue
+        if keys[0]:
+            chunks.append(f"# {families[len(keys[0])]} family, shown at width 0")
+        src, tgt = rule.pair(*keys[0])
         chunks.append("source:")
         chunks.append(diagram_text(src).rstrip())
         chunks.append("target:")

@@ -21,7 +21,7 @@ wire values, which is recorded in the report.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .formula import Formula, size
@@ -39,10 +39,9 @@ from .diagram import (
     TwistGate,
     is_gate,
     slot_inputs,
-    slot_outputs,
 )
 from .matching import instantiate
-from .polygraph import Polygraph, RewriteTrace, SchemaRule, SigmaRule, WordRule
+from .polygraph import Polygraph, RewriteTrace
 
 
 class MissingInterpretation(DiagramError):
@@ -174,25 +173,6 @@ class DecreaseReport:
         return "\n".join(lines) if lines else "(empty trace)"
 
 
-def _step_schema(p: Polygraph, rule_name: str, site, prediagram: Diagram):
-    """The schema pair the step actually used, found by re-matching."""
-    from .matching import find_matches
-
-    rule = p.rule(rule_name)
-    if isinstance(rule, SchemaRule):
-        return rule.source, rule.target
-    if isinstance(rule, (WordRule, SigmaRule)):
-        for src, tgt in rule.variants(prediagram):
-            hits = find_matches(prediagram, src, rule_name)
-            if any(
-                h.g_ops == site.g_ops and h.substitution == site.substitution
-                for h in hits
-            ):
-                return src, tgt
-        return None
-    return "procedural"
-
-
 def schema_decreases(
     source: Diagram,
     target: Diagram,
@@ -226,30 +206,27 @@ def check_decrease(
 ) -> DecreaseReport:
     """Verify strict decrease of the interpretation across each trace step.
 
-    The trace is replayed so each step's schema variant is re-matched
-    against the diagram it actually rewrote.
+    The trace is replayed; each step's schema pair is the family member its
+    site records as ``variant``.
     """
     from .diagram import interchange_canonical_form
 
     steps = []
     cur = interchange_canonical_form(trace.initial)
     for rule_name, site in trace.steps:
-        pair = _step_schema(p, rule_name, site, cur)
-        if pair == "procedural":
+        rule = p.rule(rule_name)
+        if not rule.keys(cur):
             steps.append(StepReport(rule_name, "skipped", "procedural rule"))
-        elif pair is None:
-            steps.append(StepReport(rule_name, "violation", "no matching schema variant"))
         else:
-            src_schema, tgt_schema = pair
-            subst = dict(getattr(site, "substitution", ()) or ())
+            src_schema, tgt_schema = rule.pair(*site.variant)
             try:
-                src = instantiate(src_schema, subst)
-                tgt = instantiate(tgt_schema, subst)
+                src = instantiate(src_schema, site.subst)
+                tgt = instantiate(tgt_schema, site.subst)
                 ok, detail = schema_decreases(src, tgt, interp, grid_max, cap)
             except (KeyError, MissingInterpretation) as e:
                 ok, detail = False, str(e)
             steps.append(StepReport(rule_name, "strict" if ok else "violation", detail))
-        cur = p.rule(rule_name).apply(cur, site)
+        cur = rule.apply(cur, site)
     if cur != trace.final:
         steps.append(StepReport("<replay>", "violation", "trace replay mismatch"))
     return DecreaseReport(steps)

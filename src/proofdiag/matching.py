@@ -12,7 +12,7 @@ all shipped rule sources satisfy this.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .formula import Atom, Tensor, Par, One, Bot, FVar, NVar, Formula, negate
@@ -20,7 +20,6 @@ from .diagram import (
     AxGate,
     BigGate,
     BotGate,
-    BoundaryMismatch,
     Ctrl,
     CutGate,
     Diagram,
@@ -34,7 +33,6 @@ from .diagram import (
     TwistGate,
     interchange_canonical_form,
     is_gate,
-    slot_inputs,
     swap_adjacent,
 )
 
@@ -49,16 +47,49 @@ class MatchError(DiagramError):
 
 @dataclass(frozen=True)
 class MatchSite:
+    """Where a rule applies in one diagram: the site of every rewrite step.
+
+    ``variant`` is the key of the family member that matched: ``()`` for a
+    single schema, ``(w,)`` for a word-indexed family and ``(w, sigma)`` for
+    a family indexed by a word and a permutation of it, so that
+    ``rule.pair(*site.variant)`` is the (source, target) schema pair the
+    step uses.  ``payload`` is what a procedural rule's applier needs besides
+    the gates (which side of a B-gate, say); schema sites leave it ``()``.
+    """
+
     rule: str
     g_ops: tuple[int, ...]  # op indices (canonical firing order) of matched gates
     substitution: tuple  # sorted tuple of (var name, formula) bindings
     layer_span: tuple[int, int]
     offset: int
     fingerprint: int
+    variant: tuple = ()
+    payload: tuple = ()
 
     @property
     def subst(self) -> dict:
         return dict(self.substitution)
+
+
+def site_of(
+    phi: Diagram, rule: str, g_ops, substitution: tuple = (), payload: tuple = ()
+) -> MatchSite:
+    """The site of the ops ``g_ops`` (canonical firing order) of ``phi``."""
+    where = [(li, col) for i, (li, col, _) in enumerate(phi.gates()) if i in g_ops]
+    return MatchSite(
+        rule=rule,
+        g_ops=tuple(g_ops),
+        substitution=substitution,
+        layer_span=(min(li for li, _ in where), max(li for li, _ in where)),
+        offset=min(col for _, col in where),
+        fingerprint=hash(phi),
+        payload=tuple(payload),
+    )
+
+
+def sorted_sites(sites) -> list[MatchSite]:
+    """Topmost first, then leftmost, then by op indices."""
+    return sorted(sites, key=lambda s: (s.layer_span[0], s.offset, s.g_ops))
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +380,6 @@ def find_matches(phi: Diagram, schema: Diagram, rule_name: str = "") -> list[Mat
         if t not in sseq.consumer:
             raise MatchError("schema has a pass-through input wire")
     tseq = OpSeq.of(phi)
-    op_layout = _op_layout(phi)
     seen = {}
     for t0 in range(len(tseq.ops)):
         emb = _embed(sseq, tseq, t0)
@@ -360,52 +390,28 @@ def find_matches(phi: Diagram, schema: Diagram, rule_name: str = "") -> list[Mat
         key = (g_ops, tuple(sorted(subst.items())))
         if key in seen:
             continue
-        site = _check_site(phi, tseq, sseq, schema, g_ops, subst, rule_name, op_layout)
-        if site is not None:
-            seen[key] = site
-    return sorted(seen.values(), key=lambda s: (s.layer_span[0], s.offset, s.g_ops))
+        if _fits(tseq, schema, g_ops, subst):
+            seen[key] = site_of(phi, rule_name, g_ops, key[1])
+    return sorted_sites(seen.values())
 
 
-def _op_layout(phi: Diagram) -> list[tuple[int, int]]:
-    """(layer, column) per op index, in OpSeq.of firing order."""
-    return [(li, col) for li, col, _ in phi.gates()]
-
-
-def _check_site(
-    phi: Diagram,
-    tseq: OpSeq,
-    sseq: OpSeq,
-    schema: Diagram,
-    g_ops: tuple[int, ...],
-    subst: dict,
-    rule_name: str,
-    op_layout: list[tuple[int, int]],
-) -> Optional[MatchSite]:
+def _fits(tseq: OpSeq, schema: Diagram, g_ops: tuple[int, ...], subst: dict) -> bool:
+    """Whether the ops ``g_ops`` form, modulo interchange, a contiguous block
+    equal to the instantiated schema."""
     flags = [i in set(g_ops) for i in range(len(tseq.ops))]
     blk = _bubble_block(tseq.ops, flags)
     if blk is None:
-        return None
+        return False
     ops, bflags, lo, hi = blk
     win = _block_window(tseq, ops, lo, hi)
     if win is None:
-        return None
+        return False
     base, _ = win
     src_inst = instantiate(schema, subst)
     local = _local_block(src_inst.input, ops, lo, hi, base)
     if local is None:
-        return None
-    if interchange_canonical_form(local) != interchange_canonical_form(src_inst):
-        return None
-    layers = [op_layout[i][0] for i in g_ops]
-    cols = [op_layout[i][1] for i in g_ops]
-    return MatchSite(
-        rule=rule_name,
-        g_ops=g_ops,
-        substitution=tuple(sorted(subst.items())),
-        layer_span=(min(layers), max(layers)),
-        offset=min(cols),
-        fingerprint=hash(phi),
-    )
+        return False
+    return interchange_canonical_form(local) == interchange_canonical_form(src_inst)
 
 
 def rewrite_block(
@@ -464,25 +470,6 @@ def rewrite_block(
 
 def replace_at(phi: Diagram, site: MatchSite, target_schema: Diagram) -> Diagram:
     """Replace the matched subdiagram by the instantiated target schema."""
-    _require_canonical(phi)
     if hash(phi) != site.fingerprint:
         raise StaleSite("diagram changed since the site was matched")
-    tseq = OpSeq.of(phi)
-    flags = [i in set(site.g_ops) for i in range(len(tseq.ops))]
-    blk = _bubble_block(tseq.ops, flags)
-    if blk is None:
-        raise StaleSite("site no longer extractable")
-    ops, bflags, lo, hi = blk
-    win = _block_window(tseq, ops, lo, hi)
-    if win is None:
-        raise StaleSite("site window no longer contiguous")
-    base, _ = win
-    tgt = instantiate(target_schema, site.subst)
-    out = OpSeq(phi.input)
-    for op in ops[:lo]:
-        out.fire_at(op.gate, op.pos)
-    for top in OpSeq.of(tgt).ops:
-        out.fire_at(top.gate, top.pos + base)
-    for op in ops[hi + 1 :]:
-        out.fire_at(op.gate, op.pos)
-    return interchange_canonical_form(out.to_diagram())
+    return rewrite_block(phi, site.g_ops, lambda local: instantiate(target_schema, site.subst))

@@ -14,7 +14,6 @@ from typing import Optional
 
 from .diagram import (
     BigGate,
-    CutGate,
     Diagram,
     DiagramError,
     compose_seq,
@@ -25,18 +24,8 @@ from .diagram import (
     parallel,
 )
 from .matching import MatchError, find_matches, instantiate, replace_at, unify_formula
-from .polygraph import (
-    Polygraph,
-    ProceduralRule,
-    RewriteTrace,
-    SchemaRule,
-    SigmaRule,
-    WordRule,
-    apply_once,
-    normalize,
-    polygraph,
-)
-from .sequent import Derivation, check_derivation, Sequent
+from .polygraph import Polygraph, RewriteTrace, normalize, polygraph
+from .sequent import Derivation, check_derivation
 from .translate import is_sequentializable, represent
 from . import bigtwist
 from .bigtwist import NoCrossingSplit, NotIrreducible, crossing_splits_of
@@ -182,15 +171,16 @@ def _neighbors(p: Polygraph, phi: Diagram) -> tuple[list[tuple[str, Diagram]], b
     out = []
     partial = False
     for rule in p.rules:
-        if isinstance(rule, ProceduralRule):
-            partial = True  # reversed procedural steps are never searched
+        keys = rule.keys(phi)
+        if not keys:  # procedural: reversed steps are never searched
+            partial = True
             for site in rule.find(phi):
                 try:
                     out.append((rule.name, rule.apply(phi, site)))
                 except (DiagramError, MatchError):
                     continue
-            continue
-        for src, tgt in rule.variants(phi):
+        for key in keys:
+            src, tgt = rule.pair(*key)
             for site in find_matches(phi, src, rule.name):
                 out.append((rule.name, replace_at(phi, site, tgt)))
             # reversed orientation

@@ -19,8 +19,8 @@ in declaration order, at its topmost-leftmost site.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Union
+from dataclasses import dataclass, replace
+from typing import Callable, Optional, Union
 
 from .formula import FVar, NVar, Tensor, Par, ONE, BOT
 from .diagram import (
@@ -44,7 +44,7 @@ from .diagram import (
     R,
     layer_outputs,
 )
-from .matching import MatchSite, find_matches, instantiate, replace_at
+from .matching import MatchSite, find_matches, replace_at, sorted_sites
 from .perm import Permutation, canonical_perm_diagram, ladder_left_word, ladder_right_word
 
 import itertools
@@ -64,6 +64,11 @@ nA, nB = NVar("A"), NVar("B")
 
 # ---------------------------------------------------------------------------
 # Rule kinds
+#
+# The three schema kinds share one protocol: ``keys(phi)`` lists the keys of
+# the family members that can occur in ``phi`` and ``pair(*key)`` gives the
+# (source, target) schemas of one member.  Sites record their key as
+# ``variant``, so applying a site needs no second search.
 
 
 @dataclass(frozen=True)
@@ -75,14 +80,17 @@ class SchemaRule:
     target: Diagram
     note: str = ""
 
-    def variants(self, phi: Diagram) -> Iterator[tuple[Diagram, Diagram]]:
-        yield self.source, self.target
+    def keys(self, phi: Diagram) -> list[tuple]:
+        return [()]
+
+    def pair(self) -> tuple[Diagram, Diagram]:
+        return self.source, self.target
 
     def find(self, phi: Diagram) -> list[MatchSite]:
-        return find_matches(phi, self.source, self.name)
+        return _find_sites(self, phi)
 
     def apply(self, phi: Diagram, site: MatchSite) -> Diagram:
-        return replace_at(phi, site, self.target)
+        return replace_at(phi, site, self.pair(*site.variant)[1])
 
 
 @dataclass(frozen=True)
@@ -94,23 +102,17 @@ class WordRule:
     note: str = ""
     max_width: int = 8
 
-    def variants(self, phi: Diagram) -> Iterator[tuple[Diagram, Diagram]]:
-        cap = min(self.max_width, _max_width(phi))
-        for w in range(cap + 1):
-            yield self.builder(w)
+    def keys(self, phi: Diagram) -> list[tuple]:
+        return [(w,) for w in range(min(self.max_width, _max_width(phi)) + 1)]
+
+    def pair(self, w: int) -> tuple[Diagram, Diagram]:
+        return self.builder(w)
 
     def find(self, phi: Diagram) -> list[MatchSite]:
-        sites = []
-        for src, _ in self.variants(phi):
-            sites.extend(find_matches(phi, src, self.name))
-        return sorted(sites, key=lambda s: (s.layer_span[0], s.offset, s.g_ops))
+        return _find_sites(self, phi)
 
     def apply(self, phi: Diagram, site: MatchSite) -> Diagram:
-        for src, tgt in self.variants(phi):
-            hits = find_matches(phi, src, self.name)
-            if any(h.g_ops == site.g_ops and h.substitution == site.substitution for h in hits):
-                return replace_at(phi, site, tgt)
-        raise DiagramError(f"site does not belong to rule {self.name}")
+        return replace_at(phi, site, self.pair(*site.variant)[1])
 
 
 @dataclass(frozen=True)
@@ -122,24 +124,21 @@ class SigmaRule:
     note: str = ""
     max_width: int = 3
 
-    def variants(self, phi: Diagram) -> Iterator[tuple[Diagram, Diagram]]:
-        cap = min(self.max_width, _max_width(phi))
-        for w in range(cap + 1):
-            for images in itertools.permutations(range(1, w + 1)):
-                yield self.builder(w, Permutation(images))
+    def keys(self, phi: Diagram) -> list[tuple]:
+        return [
+            (w, Permutation(images))
+            for w in range(min(self.max_width, _max_width(phi)) + 1)
+            for images in itertools.permutations(range(1, w + 1))
+        ]
+
+    def pair(self, w: int, sigma: Permutation) -> tuple[Diagram, Diagram]:
+        return self.builder(w, sigma)
 
     def find(self, phi: Diagram) -> list[MatchSite]:
-        sites = []
-        for src, _ in self.variants(phi):
-            sites.extend(find_matches(phi, src, self.name))
-        return sorted(sites, key=lambda s: (s.layer_span[0], s.offset, s.g_ops))
+        return _find_sites(self, phi)
 
     def apply(self, phi: Diagram, site: MatchSite) -> Diagram:
-        for src, tgt in self.variants(phi):
-            hits = find_matches(phi, src, self.name)
-            if any(h.g_ops == site.g_ops and h.substitution == site.substitution for h in hits):
-                return replace_at(phi, site, tgt)
-        raise DiagramError(f"site does not belong to rule {self.name}")
+        return replace_at(phi, site, self.pair(*site.variant)[1])
 
 
 class ProceduralRule:
@@ -151,17 +150,27 @@ class ProceduralRule:
         self._applier = applier
         self.note = note
 
-    def variants(self, phi: Diagram):
-        return iter(())
+    def keys(self, phi: Diagram) -> list[tuple]:
+        return []  # no schema pair: matched and applied in code
 
-    def find(self, phi: Diagram) -> list:
+    def find(self, phi: Diagram) -> list[MatchSite]:
         return self._finder(phi)
 
-    def apply(self, phi: Diagram, site) -> Diagram:
+    def apply(self, phi: Diagram, site: MatchSite) -> Diagram:
         return self._applier(phi, site)
 
 
 Rule = Union[SchemaRule, WordRule, SigmaRule, ProceduralRule]
+
+
+def _find_sites(rule: Rule, phi: Diagram) -> list[MatchSite]:
+    """The sites of every family member of a schema rule, each stamped with
+    the key of the member that matched."""
+    sites = []
+    for key in rule.keys(phi):
+        source, _ = rule.pair(*key)
+        sites += [replace(s, variant=key) for s in find_matches(phi, source, rule.name)]
+    return sorted_sites(sites)
 
 
 def _max_width(phi: Diagram) -> int:

@@ -18,10 +18,10 @@ Diagrams containing B-gates are first driven through the untangle relations
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .formula import Formula, negate, show
+from .formula import show
 from .diagram import (
     AxGate,
     BigGate,
@@ -41,7 +41,6 @@ from .diagram import (
     compose_seq,
     identity,
     interchange_canonical_form,
-    is_formula_label,
     parallel,
     single,
 )
@@ -56,6 +55,7 @@ from .sequent import (
     ParR,
     Sequent,
     TensorR,
+    _move_from_end,
     ax,
     bot,
     check_derivation,
@@ -256,7 +256,6 @@ def _split_parallel(phi: Diagram, cols: int) -> tuple[Diagram, Diagram]:
 
 def _strip_big(phi: Diagram) -> Diagram:
     """Drive out any B-gates (untangle steps preserve ~)."""
-    from . import bigtwist
     from .polygraph import polygraph, normalize
 
     if not any(isinstance(g, BigGate) for _, _, g in phi.gates()):
@@ -279,18 +278,6 @@ def sequentialize(phi: Diagram) -> Derivation:
     if d.conclusion != boundary_sequent(phi):
         raise MalformedBranch("sequentialization changed the conclusion")
     return d
-
-
-def _move_from_end(n: int, i: int) -> Permutation:
-    images = []
-    for k in range(1, n + 1):
-        if k < i:
-            images.append(k)
-        elif k == i:
-            images.append(n)
-        else:
-            images.append(k - 1)
-    return Permutation(tuple(images)).inverse()
 
 
 def _seq(phi: Diagram) -> Derivation:

@@ -27,11 +27,7 @@ from proofdiag.matching import instantiate
 from proofdiag.perm import Permutation, STRAND, canonical_perm_diagram, diagram_to_perm
 from proofdiag.polygraph import (
     POLYGRAPH_NAMES,
-    ProceduralRule,
-    SchemaRule,
-    SigmaRule,
     UnknownPolygraph,
-    WordRule,
     apply_once,
     normalize,
     polygraph,
@@ -108,20 +104,9 @@ def test_boundary_preservation_all_rules_random_substitutions():
     for name in POLYGRAPH_NAMES:
         p = polygraph(name)
         for rule in p.rules:
-            if isinstance(rule, ProceduralRule):
-                continue
-            variants = []
-            if isinstance(rule, SchemaRule):
-                variants = [(rule.source, rule.target)]
-            elif isinstance(rule, WordRule):
-                variants = [rule.builder(w) for w in range(3)]
-            elif isinstance(rule, SigmaRule):
-                variants = [
-                    rule.builder(w, Permutation(img))
-                    for w in range(3)
-                    for img in itertools.permutations(range(1, w + 1))
-                ]
-            for src, tgt in variants:
+            # family members up to width 2; procedural rules have none
+            for key in rule.keys(identity((a, b))):
+                src, tgt = rule.pair(*key)
                 names = _schema_vars(src) | _schema_vars(tgt)
                 for _ in range(8):
                     subst = _random_subst(rng, names)
