@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .diagram import DiagramError, interchange_canonical_form
+from .diagram import DiagramError
 from .diagramio import (
     ParseError,
     diagram_text,
@@ -100,7 +100,6 @@ def cmd_represent(args) -> int:
 
 def cmd_seq(args) -> int:
     phi = parse_diagram(_read(args.file))
-    phi = interchange_canonical_form(phi)
     if not is_sequentializable(phi):
         _emit(args, {"sequentializable": False}, "not sequentializable")
         return EXIT_NO
@@ -150,7 +149,7 @@ def cmd_normalize(args) -> int:
 
 def cmd_cut_elim(args) -> int:
     obj, kind = _load_diagram_or_derivation(args.file)
-    phi = represent(obj) if kind == "derivation" else interchange_canonical_form(obj)
+    phi = represent(obj) if kind == "derivation" else obj
     try:
         nf, trace = eliminate_cuts(phi)
     except DiagramError as e:

@@ -15,6 +15,10 @@ Equality of diagrams is structural.  Interchange-equal diagrams are
 identified by ``interchange_canonical_form``, which hoists every gate to the
 earliest layer its wires permit, ties broken left to right; the result is the
 Foata normal form of the underlying trace and is idempotent.
+
+Canonicity is a flag on the diagram that only ``interchange_canonical_form``
+sets, on what it returns; given a flagged diagram, it returns it at once.
+Diagrams are immutable, so the flag cannot go stale.
 """
 from __future__ import annotations
 
@@ -272,7 +276,7 @@ def layer_outputs(layer: Layer) -> Word:
 class Diagram:
     """Immutable layered string diagram."""
 
-    __slots__ = ("input", "layers", "output", "_hash")
+    __slots__ = ("input", "layers", "output", "_hash", "_canonical")
 
     def __init__(self, input_word: Iterable[Label], layers: Iterable[Layer] = ()):
         word = tuple(input_word)
@@ -292,6 +296,7 @@ class Diagram:
         object.__setattr__(self, "layers", lys)
         object.__setattr__(self, "output", cur)
         object.__setattr__(self, "_hash", hash((word, lys)))
+        object.__setattr__(self, "_canonical", False)
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("Diagram is immutable")
@@ -454,8 +459,12 @@ def interchange_canonical_form(phi: Diagram) -> Diagram:
     """Hoist every gate to its earliest layer; drop identity layers.
 
     The result is a canonical representative of the interchange class:
-    idempotent, boundary- and gate-multiset-preserving.
+    idempotent, boundary- and gate-multiset-preserving, and flagged: ``phi``
+    itself when already in this form, else a new diagram.  The flag is a bool,
+    not a reference to the form, which would make a cycle for the collector.
     """
+    if phi._canonical:
+        return phi
     grid = [list(layer) for layer in phi.layers]
     changed = True
     while changed:
@@ -467,11 +476,10 @@ def interchange_canonical_form(phi: Diagram) -> Diagram:
                     changed = True
                 else:
                     si += 1
-    layers = [tuple(layer) for layer in grid if any(is_gate(s) for s in layer)]
-    return Diagram(phi.input, layers)
-
-
-canonical = interchange_canonical_form
+    layers = tuple(tuple(layer) for layer in grid if any(is_gate(s) for s in layer))
+    canon = phi if layers == phi.layers else Diagram(phi.input, layers)
+    object.__setattr__(canon, "_canonical", True)
+    return canon
 
 
 # ---------------------------------------------------------------------------

@@ -48,16 +48,20 @@ class ParseError(ValueError):
 # Labels
 
 
+def _formula(text: str):
+    try:
+        return parse_formula(text)
+    except FormulaParseError as e:
+        raise ParseError(str(e))
+
+
 def parse_label(text: str):
     text = text.strip()
     if text == "L":
         return L
     if text == "R":
         return R
-    try:
-        return parse_formula(text)
-    except FormulaParseError as e:
-        raise ParseError(str(e))
+    return _formula(text)
 
 
 def _split_top(text: str, sep: str) -> list[str]:
@@ -152,17 +156,17 @@ def parse_gate(text: str, controlled: bool) -> Gate:
         if len(words) != 2:
             raise ParseError(f"bad big gate: {text!r}")
         return BigGate(parse_word(words[0]), parse_word(words[1]))
-    args = [p for p in _split_top(body, ",") if p.strip()]
+    args = [_formula(p) for p in _split_top(body, ",") if p.strip()]
     if head == "twist" and len(args) == 2:
-        return TwistGate(parse_formula(args[0]), parse_formula(args[1]))
+        return TwistGate(*args)
     if head == "par" and len(args) == 2:
-        return ParGate(parse_formula(args[0]), parse_formula(args[1]))
+        return ParGate(*args)
     if head == "tensor" and len(args) == 2:
-        return TensorGate(parse_formula(args[0]), parse_formula(args[1]), controlled)
+        return TensorGate(*args, controlled)
     if head == "ax" and len(args) == 1:
-        return AxGate(parse_formula(args[0]), controlled)
+        return AxGate(args[0], controlled)
     if head == "cut" and len(args) == 1:
-        return CutGate(parse_formula(args[0]), controlled)
+        return CutGate(args[0], controlled)
     raise ParseError(f"bad gate: {text!r}")
 
 
@@ -197,11 +201,11 @@ def parse_diagram(text: str) -> Diagram:
     lines = [l.strip() for l in text.strip().splitlines() if l.strip()]
     if not lines or lines[0] != DIAGRAM_HEADER:
         raise ParseError(f"missing header {DIAGRAM_HEADER!r}")
-    if not lines[1].startswith("signature:"):
+    if len(lines) < 2 or not lines[1].startswith("signature:"):
         raise ParseError("missing signature line")
     sig = lines[1].split(":", 1)[1].strip()
     controlled = sig == "controlled"
-    if not lines[2].startswith("input:"):
+    if len(lines) < 3 or not lines[2].startswith("input:"):
         raise ParseError("missing input line")
     word = parse_word(lines[2].split(":", 1)[1])
     layers = []
@@ -319,7 +323,7 @@ def parse_sequent(text: str) -> tuple:
     text = text.strip()
     if not text:
         return ()
-    return tuple(parse_formula(p) for p in _split_top(text, ","))
+    return tuple(_formula(p) for p in _split_top(text, ","))
 
 
 def polygraph_rules_text(p) -> str:

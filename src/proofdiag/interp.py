@@ -37,6 +37,7 @@ from .diagram import (
     ParGate,
     TensorGate,
     TwistGate,
+    interchange_canonical_form,
     is_gate,
     slot_inputs,
 )
@@ -209,8 +210,6 @@ def check_decrease(
     The trace is replayed; each step's schema pair is the family member its
     site records as ``variant``.
     """
-    from .diagram import interchange_canonical_form
-
     steps = []
     cur = interchange_canonical_form(trace.initial)
     for rule_name, site in trace.steps:

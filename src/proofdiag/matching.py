@@ -360,11 +360,10 @@ def _local_block(phi_input_window, ops: list[Op], lo: int, hi: int, base: int) -
 # Public API
 
 
-def _require_canonical(phi: Diagram) -> Diagram:
-    canon = interchange_canonical_form(phi)
-    if canon != phi:
+def _require_canonical(phi: Diagram) -> None:
+    # O(1) on the engine's diagrams: they come out of the canonical form
+    if interchange_canonical_form(phi) is not phi:
         raise MatchError("diagram must be in interchange canonical form")
-    return phi
 
 
 def find_matches(phi: Diagram, schema: Diagram, rule_name: str = "") -> list[MatchSite]:

@@ -9,7 +9,7 @@ a B-gate or crossing split yields ``no``; otherwise ``unknown``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .diagram import (
@@ -78,31 +78,13 @@ def untangle(phi: Diagram) -> tuple[Diagram, RewriteTrace]:
 
 
 def _drive_big(big: Polygraph, phi: Diagram, site) -> tuple[Diagram, list]:
-    cur = bigtwist.apply_big_intro(phi, site)
-    steps = []
-    drivers = [
-        big.rule("big-annihilate"),
-        big.rule("big-collapse-left"),
-        big.rule("big-collapse-right"),
-        big.rule("untangle-left"),
-        big.rule("untangle-right"),
-    ]
-    guard = 0
-    while any(isinstance(g, BigGate) for _, _, g in cur.gates()):
-        fired = False
-        for rule in drivers:
-            hits = rule.find(cur)
-            if hits:
-                cur = rule.apply(cur, hits[0])
-                steps.append((rule.name, hits[0]))
-                fired = True
-                break
-        if not fired:
-            break  # deactivated: open branches keep the B-gate
-        guard += 1
-        if guard > 10000:
-            raise DiagramError("untangle loop did not terminate")
-    return cur, steps
+    # every B-gate rule needs a B-gate: this stops once it is gone or
+    # deactivated (open branches keep it)
+    names = ("big-annihilate", "big-collapse-left", "big-collapse-right",
+             "untangle-left", "untangle-right")
+    drivers = replace(big, rules=tuple(map(big.rule, names)))
+    out, trace = normalize(drivers, bigtwist.apply_big_intro(phi, site))
+    return out, trace.steps
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,8 @@ in declaration order, at its topmost-leftmost site.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
@@ -47,8 +49,6 @@ from .diagram import (
 from .matching import MatchSite, find_matches, replace_at, sorted_sites
 from .perm import Permutation, canonical_perm_diagram, ladder_left_word, ladder_right_word
 
-import itertools
-
 
 class UnknownPolygraph(DiagramError):
     pass
@@ -68,7 +68,11 @@ nA, nB = NVar("A"), NVar("B")
 # The three schema kinds share one protocol: ``keys(phi)`` lists the keys of
 # the family members that can occur in ``phi`` and ``pair(*key)`` gives the
 # (source, target) schemas of one member.  Sites record their key as
-# ``variant``, so applying a site needs no second search.
+# ``variant``, so applying a site needs no second search.  Members are
+# built once per key (cached builders), up to a fixed word width.
+
+WORD_MAX_WIDTH = 8
+SIGMA_MAX_WIDTH = 3
 
 
 @dataclass(frozen=True)
@@ -100,10 +104,9 @@ class WordRule:
     name: str
     builder: Callable[[int], tuple[Diagram, Diagram]]
     note: str = ""
-    max_width: int = 8
 
     def keys(self, phi: Diagram) -> list[tuple]:
-        return [(w,) for w in range(min(self.max_width, _max_width(phi)) + 1)]
+        return [(w,) for w in range(min(WORD_MAX_WIDTH, _max_width(phi)) + 1)]
 
     def pair(self, w: int) -> tuple[Diagram, Diagram]:
         return self.builder(w)
@@ -122,12 +125,11 @@ class SigmaRule:
     name: str
     builder: Callable[[int, Permutation], tuple[Diagram, Diagram]]
     note: str = ""
-    max_width: int = 3
 
     def keys(self, phi: Diagram) -> list[tuple]:
         return [
             (w, Permutation(images))
-            for w in range(min(self.max_width, _max_width(phi)) + 1)
+            for w in range(min(SIGMA_MAX_WIDTH, _max_width(phi)) + 1)
             for images in itertools.permutations(range(1, w + 1))
         ]
 
@@ -339,6 +341,7 @@ def _gvars(w: int) -> tuple:
     return tuple(FVar(f"W{i}") for i in range(w))
 
 
+@functools.cache
 def _ax_cut_ladder_left(w: int) -> tuple[Diagram, Diagram]:
     Gs = _gvars(w)
     p1 = compose_par(single(AxGate(A, False)), identity(Gs + (A,)))
@@ -349,6 +352,7 @@ def _ax_cut_ladder_left(w: int) -> tuple[Diagram, Diagram]:
     return src, tgt
 
 
+@functools.cache
 def _ax_cut_ladder_right(w: int) -> tuple[Diagram, Diagram]:
     Gs = _gvars(w)
     p1 = parallel(identity((A,) + Gs), single(AxGate(nA, False)))
@@ -367,6 +371,7 @@ def _ax_cut_snake() -> SchemaRule:
     return SchemaRule("ax-cut-snake", src, identity((A,)))
 
 
+@functools.cache
 def _ax_cut_snake_sigma(w: int, sigma: Permutation) -> tuple[Diagram, Diagram]:
     Gs = _gvars(w)
     sGs = sigma.apply(Gs)
@@ -449,6 +454,7 @@ def _cut_ax_right() -> SchemaRule:
     return SchemaRule("cut-ax-right", src, identity((A, R)))
 
 
+@functools.cache
 def _cut_tensor_par(w: int) -> tuple[Diagram, Diagram]:
     Gs = _gvars(w)
     tAB = Tensor(A, B)
@@ -470,6 +476,7 @@ def _cut_tensor_par(w: int) -> tuple[Diagram, Diagram]:
     return src, tgt
 
 
+@functools.cache
 def _cut_par_tensor(w: int) -> tuple[Diagram, Diagram]:
     Gs = _gvars(w)
     tBA = Tensor(nB, nA)

@@ -25,7 +25,16 @@ from proofdiag.diagram import (
     slot_outputs,
     swap_adjacent,
 )
-from proofdiag.matching import StaleSite, find_matches, instantiate, replace_at
+from proofdiag.matching import (
+    MatchError,
+    StaleSite,
+    find_matches,
+    instantiate,
+    replace_at,
+    rewrite_block,
+)
+from proofdiag.polygraph import normalize, polygraph
+from proofdiag.translate import represent
 
 a, b, c = atom("a"), atom("b"), atom("c")
 A, B, C = FVar("A"), FVar("B"), FVar("C")
@@ -290,6 +299,37 @@ def test_stale_site():
     other = canon(compose_seq(single(TwistGate(b, a)), single(TwistGate(a, b))))
     with pytest.raises(StaleSite):
         replace_at(other, site, INV_TGT)
+
+
+def _trace_diagrams(p, phi):
+    """The start of the normalization of phi under p and every diagram after
+    each of its steps."""
+    _, trace = normalize(p, phi)
+    out = [trace.initial]
+    for rule_name, site in trace.steps:
+        out.append(p.rule(rule_name).apply(out[-1], site))
+    return out
+
+
+def test_engine_diagrams_are_canonical(corpus):
+    # the diagrams the engine hands from step to step are flagged canonical,
+    # and are so: an unflagged rebuild has the same canonical form
+    for name, sig in (("Sem", "controlled"), ("MLLu_Cut", "uncontrolled")):
+        p = polygraph(name)
+        for d in corpus:
+            for phi in _trace_diagrams(p, represent(d, sig)):
+                assert canon(Diagram(phi.input, phi.layers)) == phi
+                assert canon(phi) is phi
+
+
+def test_matching_rejects_a_non_canonical_diagram():
+    # the second twist belongs in the first layer
+    phi = build((a, b, c, a), (TwistGate(a, b), c, a), (b, a, TwistGate(c, a)))
+    assert canon(phi) != phi
+    with pytest.raises(MatchError):
+        find_matches(phi, INV_SRC, "inv")
+    with pytest.raises(MatchError):
+        rewrite_block(phi, (0,), lambda local: local)
 
 
 def _brute_force_sites(phi, schema):

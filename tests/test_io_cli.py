@@ -149,6 +149,27 @@ def test_cli_oracle_enumerate():
     assert "(bot (one))" in payload["derivations"]
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "proofdiag-diagram v1\nsignature: controlled\ninput: -\nlayer: gate ax((a*)\n",
+        "proofdiag-diagram v1\n",
+        "proofdiag-diagram v1\nsignature: controlled\n",
+    ],
+    ids=["bad-gate-formula", "header-only", "no-input-line"],
+)
+def test_cli_malformed_diagram_is_a_parse_error(tmp_path, text):
+    f = tmp_path / "bad.diag"
+    f.write_text(text)
+    r = _cli("seq", str(f))
+    assert r.returncode == 2 and r.stderr.startswith("parse error:"), r.stderr
+
+
+def test_cli_malformed_sequent_is_a_parse_error():
+    r = _cli("oracle", "enumerate", "a, (b")
+    assert r.returncode == 2 and r.stderr.startswith("parse error:"), r.stderr
+
+
 def test_render_deterministic(tmp_path):
     phi = represent(tensor(ax(a), ax(b)))
     assert render_svg(phi) == render_svg(phi)

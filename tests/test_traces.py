@@ -8,6 +8,7 @@ left out: they are ``hash(phi)``, which is salted per process.
 """
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -76,15 +77,18 @@ EMIT_TRACE_STEPS = [
 ]
 
 
-def test_cli_emit_trace_step_records(tmp_path):
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_cli_emit_trace_step_records(tmp_path, hash_seed):
+    # the records must not depend on the salt of str hashes
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed}
     hand = _handmade()
     f = tmp_path / "d.diag"
     f.write_text(diagram_text(represent(tensor(hand[12], hand[14]))))
     cmd = [sys.executable, "-m", "proofdiag.cli", "normalize", "--polygraph", "sem", "--emit-trace"]
-    as_json = subprocess.run(cmd + ["--json", str(f)], capture_output=True, text=True)
+    as_json = subprocess.run(cmd + ["--json", str(f)], capture_output=True, text=True, env=env)
     assert as_json.returncode == 0, as_json.stderr
     assert json.loads(as_json.stdout)["steps"] == EMIT_TRACE_STEPS
-    as_text = subprocess.run(cmd + [str(f)], capture_output=True, text=True)
+    as_text = subprocess.run(cmd + [str(f)], capture_output=True, text=True, env=env)
     assert as_text.returncode == 0, as_text.stderr
     lines = [l for l in as_text.stdout.splitlines() if l.startswith("# step ")]
     assert lines == [f"# step {json.dumps(s, sort_keys=True)}" for s in EMIT_TRACE_STEPS]
