@@ -35,6 +35,7 @@ from .diagram import (
     TensorGate,
     TwistGate,
     compose_seq,
+    gate_count,
     identity,
     parallel,
     single,
@@ -368,7 +369,7 @@ def _supported_intro(tseq: OpSeq, sp: Split) -> Optional[tuple]:
 
 def find_big_intro(phi: Diagram) -> list[MatchSite]:
     """Crossing-split introduction sites (B-free, tight-shape splits only)."""
-    if any(isinstance(g, BigGate) for _, _, g in phi.gates()):
+    if gate_count(phi, ("big",)):
         return []
     tseq = OpSeq.of(phi)
     sites = []

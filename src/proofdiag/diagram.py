@@ -11,6 +11,14 @@ differ, a ``controlled`` flag choosing between the plain arity and the
 control-string arity (tensor, axiom, cut and the one-gate differ; par, twist
 and bottom do not).
 
+Every gate type subclasses ``Gate``: a frozen dataclass whose fields are its
+parameter list, each field's annotation giving its kind (a ``Formula``, a
+label ``Word`` for the B-gate's two sheafs, or the ``bool`` flag).  So one
+loop over ``gate_fields`` serves every gate type wherever gates are taken
+apart: unification and substitution in ``matching``, printing here
+(``gate_str``) and parsing in ``diagramio`` (through ``GATE_TYPES``, the
+family-to-type table).
+
 Equality of diagrams is structural.  Interchange-equal diagrams are
 identified by ``interchange_canonical_form``, which hoists every gate to the
 earliest layer its wires permit, ties broken left to right; the result is the
@@ -22,10 +30,11 @@ Diagrams are immutable, so the flag cannot go stale.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from dataclasses import dataclass, fields
+from functools import cache
+from typing import ClassVar, Iterable, Iterator, Optional, Union
 
-from .formula import Formula, FVar, NVar, Tensor, Par, negate, is_concrete, show
+from .formula import BOT, ONE, Formula, Tensor, Par, negate, is_concrete, show
 
 
 class DiagramError(ValueError):
@@ -76,8 +85,16 @@ def is_formula_label(lab: Label) -> bool:
 # Gate types
 
 
+class Gate:
+    """A generator: a frozen dataclass whose fields are its parameters (see
+    ``gate_fields``) and whose ``inputs`` and ``outputs`` follow from them."""
+
+    __slots__ = ()
+    family: ClassVar[str]
+
+
 @dataclass(frozen=True)
-class TwistGate:
+class TwistGate(Gate):
     left: Formula
     right: Formula
     family = "twist"
@@ -92,7 +109,7 @@ class TwistGate:
 
 
 @dataclass(frozen=True)
-class ParGate:
+class ParGate(Gate):
     left: Formula
     right: Formula
     family = "par"
@@ -107,7 +124,7 @@ class ParGate:
 
 
 @dataclass(frozen=True)
-class TensorGate:
+class TensorGate(Gate):
     left: Formula
     right: Formula
     controlled: bool = True
@@ -125,7 +142,7 @@ class TensorGate:
 
 
 @dataclass(frozen=True)
-class AxGate:
+class AxGate(Gate):
     formula: Formula
     controlled: bool = True
     family = "ax"
@@ -142,7 +159,7 @@ class AxGate:
 
 
 @dataclass(frozen=True)
-class CutGate:
+class CutGate(Gate):
     formula: Formula
     controlled: bool = True
     family = "cut"
@@ -159,7 +176,7 @@ class CutGate:
 
 
 @dataclass(frozen=True)
-class OneGate:
+class OneGate(Gate):
     controlled: bool = True
     family = "one"
 
@@ -169,15 +186,13 @@ class OneGate:
 
     @property
     def outputs(self) -> Word:
-        from .formula import ONE
-
         if self.controlled:
             return (L, ONE, R)
         return (ONE,)
 
 
 @dataclass(frozen=True)
-class BotGate:
+class BotGate(Gate):
     family = "bot"
 
     @property
@@ -186,13 +201,11 @@ class BotGate:
 
     @property
     def outputs(self) -> Word:
-        from .formula import BOT
-
         return (BOT,)
 
 
 @dataclass(frozen=True)
-class BigGate:
+class BigGate(Gate):
     """Big twisting operator swapping two bracketed sheafs of wires.
 
     The sheaf words may contain interior R,L pairs, so whole groups of
@@ -212,36 +225,39 @@ class BigGate:
         return (L,) + tuple(self.right_word) + (R, L) + tuple(self.left_word) + (R,)
 
 
-Gate = Union[TwistGate, ParGate, TensorGate, AxGate, CutGate, OneGate, BotGate, BigGate]
-
-GATE_FAMILIES = ("twist", "par", "tensor", "ax", "cut", "one", "bot", "big")
+GATE_TYPES = {cls.family: cls for cls in Gate.__subclasses__()}
 
 
 def is_gate(slot) -> bool:
-    return hasattr(slot, "family")
+    return isinstance(slot, Gate)
 
 
-def gate_str(g: Gate) -> str:
-    if isinstance(g, TwistGate):
-        return f"twist({label_str(g.left)},{label_str(g.right)})"
-    if isinstance(g, ParGate):
-        return f"par({label_str(g.left)},{label_str(g.right)})"
-    if isinstance(g, TensorGate):
-        tag = "" if g.controlled else "!"
-        return f"tensor{tag}({label_str(g.left)},{label_str(g.right)})"
-    if isinstance(g, AxGate):
-        tag = "" if g.controlled else "!"
-        return f"ax{tag}({label_str(g.formula)})"
-    if isinstance(g, CutGate):
-        tag = "" if g.controlled else "!"
-        return f"cut{tag}({label_str(g.formula)})"
-    if isinstance(g, OneGate):
-        return "one" if g.controlled else "one!"
-    if isinstance(g, BotGate):
-        return "bot"
-    if isinstance(g, BigGate):
-        return f"big([{word_str(g.left_word)}],[{word_str(g.right_word)}])"
-    raise TypeError(g)
+@cache
+def gate_fields(cls: type) -> tuple[tuple[str, str], ...]:
+    """(name, kind) of each field of a gate type, in order.
+
+    The kind is the field's annotation: ``"Formula"``, ``"Word"`` (a B-gate
+    sheaf) or ``"bool"`` (the ``controlled`` flag).
+    """
+    return tuple((f.name, f.type) for f in fields(cls))
+
+
+def gate_str(g: Gate, tagged: bool = True) -> str:
+    """``family(params)``, or the bare family when there are none.
+
+    ``tagged`` marks an uncontrolled gate ``family!``, as a diagram's repr
+    does; the file format leaves the tag out, as its signature line says it.
+    """
+    head, args = g.family, []
+    for name, kind in gate_fields(type(g)):
+        value = getattr(g, name)
+        if kind == "bool":
+            head += "!" if tagged and not value else ""
+        elif kind == "Word":
+            args.append(f"[{word_str(value)}]")
+        else:
+            args.append(label_str(value))
+    return f"{head}({','.join(args)})" if args else head
 
 
 # ---------------------------------------------------------------------------
@@ -252,24 +268,30 @@ Slot = Union[Label, Gate]
 
 
 def slot_inputs(slot: Slot) -> Word:
-    return slot.inputs if is_gate(slot) else (slot,)
+    return slot.inputs if isinstance(slot, Gate) else (slot,)
 
 
 def slot_outputs(slot: Slot) -> Word:
-    return slot.outputs if is_gate(slot) else (slot,)
+    return slot.outputs if isinstance(slot, Gate) else (slot,)
 
 
 def layer_inputs(layer: Layer) -> Word:
     out = []
     for s in layer:
-        out.extend(slot_inputs(s))
+        if isinstance(s, Gate):
+            out.extend(s.inputs)
+        else:
+            out.append(s)
     return tuple(out)
 
 
 def layer_outputs(layer: Layer) -> Word:
     out = []
     for s in layer:
-        out.extend(slot_outputs(s))
+        if isinstance(s, Gate):
+            out.extend(s.outputs)
+        else:
+            out.append(s)
     return tuple(out)
 
 
@@ -295,7 +317,7 @@ class Diagram:
         object.__setattr__(self, "input", word)
         object.__setattr__(self, "layers", lys)
         object.__setattr__(self, "output", cur)
-        object.__setattr__(self, "_hash", hash((word, lys)))
+        object.__setattr__(self, "_hash", None)  # computed on first use
         object.__setattr__(self, "_canonical", False)
 
     def __setattr__(self, *a):  # immutable
@@ -304,12 +326,14 @@ class Diagram:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Diagram)
-            and self._hash == other._hash
+            and hash(self) == hash(other)
             and self.input == other.input
             and self.layers == other.layers
         )
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.input, self.layers)))
         return self._hash
 
     def __repr__(self) -> str:
@@ -324,7 +348,7 @@ class Diagram:
         for li, layer in enumerate(self.layers):
             pos = 0
             for s in layer:
-                if is_gate(s):
+                if isinstance(s, Gate):
                     yield li, pos, s
                 pos += len(slot_inputs(s))
 
@@ -438,7 +462,7 @@ def _try_hoist(grid: list[list[Slot]], li: int, si: int) -> bool:
         if not touched:
             return False
         for idx in touched:
-            if is_gate(above[idx]):
+            if isinstance(above[idx], Gate):
                 return False
         # Slots must be contiguous (a zero-output gate in between blocks hoisting).
         if touched != list(range(touched[0], touched[0] + len(touched))):
@@ -472,11 +496,11 @@ def interchange_canonical_form(phi: Diagram) -> Diagram:
         for li in range(1, len(grid)):
             si = 0
             while si < len(grid[li]):
-                if is_gate(grid[li][si]) and _try_hoist(grid, li, si):
+                if isinstance(grid[li][si], Gate) and _try_hoist(grid, li, si):
                     changed = True
                 else:
                     si += 1
-    layers = tuple(tuple(layer) for layer in grid if any(is_gate(s) for s in layer))
+    layers = tuple(tuple(layer) for layer in grid if any(isinstance(s, Gate) for s in layer))
     canon = phi if layers == phi.layers else Diagram(phi.input, layers)
     object.__setattr__(canon, "_canonical", True)
     return canon
@@ -518,7 +542,7 @@ class OpSeq:
         for layer in phi.layers:
             cur = 0
             for s in layer:
-                if is_gate(s):
+                if isinstance(s, Gate):
                     seq.fire_at(s, cur)
                     cur += len(slot_outputs(s))
                 else:

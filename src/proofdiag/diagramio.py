@@ -5,24 +5,21 @@ own parser bit-exactly.
 """
 from __future__ import annotations
 
-from .formula import FormulaParseError, parse as parse_formula, show
+from .formula import FormulaParseError, parse as parse_formula
 from .diagram import (
-    AxGate,
+    GATE_TYPES,
     BigGate,
-    BotGate,
-    CutGate,
     Diagram,
     DiagramError,
     Gate,
     L,
-    OneGate,
-    ParGate,
     R,
-    TensorGate,
-    TwistGate,
+    gate_fields,
+    gate_str,
     identity,
     is_gate,
     label_str,
+    word_str,
 )
 from .perm import Permutation
 from .sequent import (
@@ -87,87 +84,37 @@ def parse_word(text: str) -> tuple:
     return tuple(parse_label(p) for p in _split_top(text, ","))
 
 
-def word_text(word: tuple) -> str:
-    return ",".join(label_str(l) for l in word) if word else "-"
-
-
 # ---------------------------------------------------------------------------
 # Gates
 
 
 def gate_text(g: Gate) -> str:
-    if isinstance(g, TwistGate):
-        return f"twist({show(g.left)},{show(g.right)})"
-    if isinstance(g, ParGate):
-        return f"par({show(g.left)},{show(g.right)})"
-    if isinstance(g, TensorGate):
-        return f"tensor({show(g.left)},{show(g.right)})"
-    if isinstance(g, AxGate):
-        return f"ax({show(g.formula)})"
-    if isinstance(g, CutGate):
-        return f"cut({show(g.formula)})"
-    if isinstance(g, OneGate):
-        return "one"
-    if isinstance(g, BotGate):
-        return "bot"
-    if isinstance(g, BigGate):
-        return f"big([{word_text(g.left_word)}],[{word_text(g.right_word)}])"
-    raise TypeError(g)
+    return gate_str(g, tagged=False)
+
+
+def _gate_arg(text: str, kind: str):
+    if kind != "Word":
+        return _formula(text)
+    text = text.strip()
+    if not (text.startswith("[") and text.endswith("]")):
+        raise ParseError(f"bad word argument: {text!r}")
+    return parse_word(text[1:-1])
 
 
 def parse_gate(text: str, controlled: bool) -> Gate:
+    """``family`` or ``family(arg,...)`` with one argument per parameter
+    field, a formula or a bracketed word; the signature sets the flag."""
     text = text.strip()
-    if text == "one":
-        return OneGate(controlled)
-    if text == "bot":
-        return BotGate()
-    if "(" not in text or not text.endswith(")"):
+    head, paren, body = text.partition("(")
+    cls = GATE_TYPES.get(head.strip())
+    if cls is None or (paren and not body.endswith(")")):
         raise ParseError(f"bad gate: {text!r}")
-    head, body = text.split("(", 1)
-    body = body[:-1]
-    head = head.strip()
-    if head == "big":
-        parts = _split_top(body, ",")
-        # big([w],[w']) splits as ['[w]', '[w\']'] only when words are
-        # bracketed; rejoin on the outer brackets
-        if len(parts) < 2:
-            raise ParseError(f"bad big gate: {text!r}")
-        joined = ",".join(parts)
-        if not joined.startswith("[") or not joined.endswith("]"):
-            raise ParseError(f"bad big gate: {text!r}")
-        inner = _split_top(joined, ",")
-        # find the split between ...] and [...
-        words = []
-        depth = 0
-        cur = []
-        for ch in joined:
-            if ch == "[":
-                depth += 1
-                if depth == 1:
-                    cur = []
-                    continue
-            if ch == "]":
-                depth -= 1
-                if depth == 0:
-                    words.append("".join(cur))
-                    continue
-            if depth >= 1:
-                cur.append(ch)
-        if len(words) != 2:
-            raise ParseError(f"bad big gate: {text!r}")
-        return BigGate(parse_word(words[0]), parse_word(words[1]))
-    args = [_formula(p) for p in _split_top(body, ",") if p.strip()]
-    if head == "twist" and len(args) == 2:
-        return TwistGate(*args)
-    if head == "par" and len(args) == 2:
-        return ParGate(*args)
-    if head == "tensor" and len(args) == 2:
-        return TensorGate(*args, controlled)
-    if head == "ax" and len(args) == 1:
-        return AxGate(args[0], controlled)
-    if head == "cut" and len(args) == 1:
-        return CutGate(args[0], controlled)
-    raise ParseError(f"bad gate: {text!r}")
+    args = _split_top(body[:-1], ",") if paren else []
+    kinds = [kind for _, kind in gate_fields(cls)]
+    if len(args) != len(kinds) - kinds.count("bool"):
+        raise ParseError(f"bad gate: {text!r}")
+    rest = iter(args)
+    return cls(*(controlled if kind == "bool" else _gate_arg(next(rest), kind) for kind in kinds))
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +132,7 @@ def diagram_signature(phi: Diagram) -> str:
 
 def diagram_text(phi: Diagram) -> str:
     sig = diagram_signature(phi)
-    lines = [DIAGRAM_HEADER, f"signature: {sig}", f"input: {word_text(phi.input)}"]
+    lines = [DIAGRAM_HEADER, f"signature: {sig}", f"input: {word_str(phi.input)}"]
     for layer in phi.layers:
         slots = []
         for s in layer:
@@ -204,6 +151,8 @@ def parse_diagram(text: str) -> Diagram:
     if len(lines) < 2 or not lines[1].startswith("signature:"):
         raise ParseError("missing signature line")
     sig = lines[1].split(":", 1)[1].strip()
+    if sig not in ("controlled", "uncontrolled"):
+        raise ParseError(f"unknown signature {sig!r}")
     controlled = sig == "controlled"
     if len(lines) < 3 or not lines[2].startswith("input:"):
         raise ParseError("missing input line")
@@ -219,7 +168,10 @@ def parse_diagram(text: str) -> Diagram:
             if part.startswith("id "):
                 slots.append(parse_label(part[3:]))
             elif part.startswith("gate "):
-                slots.append(parse_gate(part[5:], controlled))
+                g = parse_gate(part[5:], controlled)
+                if isinstance(g, BigGate) and not controlled:
+                    raise ParseError("a big gate needs the controlled signature")
+                slots.append(g)
             elif part:
                 raise ParseError(f"bad slot {part!r}")
         layers.append(tuple(slots))

@@ -17,20 +17,13 @@ from typing import Optional
 
 from .formula import Atom, Tensor, Par, One, Bot, FVar, NVar, Formula, negate
 from .diagram import (
-    AxGate,
-    BigGate,
-    BotGate,
     Ctrl,
-    CutGate,
     Diagram,
     DiagramError,
     Gate,
-    OneGate,
     Op,
     OpSeq,
-    ParGate,
-    TensorGate,
-    TwistGate,
+    gate_fields,
     interchange_canonical_form,
     is_gate,
     swap_adjacent,
@@ -145,67 +138,41 @@ def subst_label(lab, subst: dict):
     return subst_formula(lab, subst)
 
 
+def unify_label(pat, val, subst: dict) -> bool:
+    if isinstance(pat, Ctrl) or isinstance(val, Ctrl):
+        return pat == val
+    return unify_formula(pat, val, subst)
+
+
 def gate_unify(pat: Gate, val: Gate, subst: dict) -> bool:
+    """Unify two gates field by field: formulas unify, words label by label
+    (a control label only with itself), and the ``controlled`` flags must be
+    equal."""
     if type(pat) is not type(val):
         return False
-    if isinstance(pat, TwistGate):
-        return unify_formula(pat.left, val.left, subst) and unify_formula(
-            pat.right, val.right, subst
-        )
-    if isinstance(pat, ParGate):
-        return unify_formula(pat.left, val.left, subst) and unify_formula(
-            pat.right, val.right, subst
-        )
-    if isinstance(pat, TensorGate):
-        return (
-            pat.controlled == val.controlled
-            and unify_formula(pat.left, val.left, subst)
-            and unify_formula(pat.right, val.right, subst)
-        )
-    if isinstance(pat, (AxGate, CutGate)):
-        return pat.controlled == val.controlled and unify_formula(
-            pat.formula, val.formula, subst
-        )
-    if isinstance(pat, OneGate):
-        return pat.controlled == val.controlled
-    if isinstance(pat, BotGate):
-        return True
-    if isinstance(pat, BigGate):
-        if len(pat.left_word) != len(val.left_word) or len(pat.right_word) != len(
-            val.right_word
-        ):
-            return False
-        for p, v in zip(pat.left_word + pat.right_word, val.left_word + val.right_word):
-            if isinstance(p, Ctrl) or isinstance(v, Ctrl):
-                if p != v:
-                    return False
-            elif not unify_formula(p, v, subst):
+    for name, kind in gate_fields(type(pat)):
+        p, v = getattr(pat, name), getattr(val, name)
+        if kind == "Word":
+            if len(p) != len(v) or not all(unify_label(a, b, subst) for a, b in zip(p, v)):
                 return False
-        return True
-    raise TypeError(pat)
+        elif kind == "bool":
+            if p != v:
+                return False
+        elif not unify_formula(p, v, subst):
+            return False
+    return True
 
 
 def gate_subst(pat: Gate, subst: dict) -> Gate:
-    if isinstance(pat, TwistGate):
-        return TwistGate(subst_formula(pat.left, subst), subst_formula(pat.right, subst))
-    if isinstance(pat, ParGate):
-        return ParGate(subst_formula(pat.left, subst), subst_formula(pat.right, subst))
-    if isinstance(pat, TensorGate):
-        return TensorGate(
-            subst_formula(pat.left, subst), subst_formula(pat.right, subst), pat.controlled
-        )
-    if isinstance(pat, AxGate):
-        return AxGate(subst_formula(pat.formula, subst), pat.controlled)
-    if isinstance(pat, CutGate):
-        return CutGate(subst_formula(pat.formula, subst), pat.controlled)
-    if isinstance(pat, (OneGate, BotGate)):
-        return pat
-    if isinstance(pat, BigGate):
-        return BigGate(
-            tuple(subst_label(l, subst) for l in pat.left_word),
-            tuple(subst_label(l, subst) for l in pat.right_word),
-        )
-    raise TypeError(pat)
+    values = []
+    for name, kind in gate_fields(type(pat)):
+        v = getattr(pat, name)
+        if kind == "Word":
+            v = tuple(subst_label(l, subst) for l in v)
+        elif kind == "Formula":
+            v = subst_formula(v, subst)
+        values.append(v)
+    return type(pat)(*values)
 
 
 def instantiate(schema: Diagram, subst: dict) -> Diagram:

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .diagram import (
-    BigGate,
     Diagram,
     DiagramError,
     compose_seq,
@@ -189,9 +188,7 @@ def _neighbors(p: Polygraph, phi: Diagram) -> tuple[list[tuple[str, Diagram]], b
 
 
 def _saw_big(phi: Diagram) -> bool:
-    return any(isinstance(g, BigGate) for _, _, g in phi.gates()) or bool(
-        crossing_splits_of(phi)
-    )
+    return bool(gate_count(phi, ("big",)) or crossing_splits_of(phi))
 
 
 def equivalent(

@@ -28,7 +28,6 @@ from .diagram import (
     identity,
     interchange_canonical_form,
     is_gate,
-    slot_inputs,
 )
 
 
@@ -141,6 +140,8 @@ def ladder_right_word(word: tuple) -> Diagram:
 
 def ladder(side: str, n: int, k: int, word: tuple = None) -> Diagram:
     """Lad^side_k padded with identities to n wires."""
+    if side not in ("left", "right"):
+        raise BadIndex(f"side must be left or right: {side!r}")
     if not 1 <= k <= n:
         raise BadIndex(f"ladder index k={k} out of range for n={n}")
     if word is None:
@@ -149,8 +150,6 @@ def ladder(side: str, n: int, k: int, word: tuple = None) -> Diagram:
         raise BadIndex("word length disagrees with n")
     head, tail = tuple(word[:k]), tuple(word[k:])
     lad = ladder_left_word(head) if side == "left" else ladder_right_word(head)
-    if side not in ("left", "right"):
-        raise BadIndex(f"side must be left or right: {side!r}")
     return compose_par(lad, identity(tail))
 
 

@@ -211,7 +211,7 @@ def _yang_baxter() -> SchemaRule:
     return SchemaRule("yang-baxter", src, tgt)
 
 
-def _binary_slides(kind: str, controlled: bool) -> list[SchemaRule]:
+def _binary_slides(kind: str) -> list[SchemaRule]:
     """Gate-crossing rules for a 2-to-1 gate (par, or uncontrolled tensor)."""
     if kind == "par":
         gate = ParGate(A, B)
@@ -560,8 +560,8 @@ def polygraph(name: str) -> Polygraph:
         rules += _twisting_core()
         rules += _ax_slides()
         rules += _cut_slides()
-        rules += _binary_slides("tensor", controlled=False)
-        rules += _binary_slides("par", controlled=False)
+        rules += _binary_slides("tensor")
+        rules += _binary_slides("par")
         rules += _ax_involution(controlled=False)
         rules += _nullary_slides("bot")
         rules += _nullary_slides("one")
@@ -583,7 +583,7 @@ def polygraph(name: str) -> Polygraph:
     if name == "MLL_ctrl":
         rules = []
         rules += _twisting_core()
-        rules += _binary_slides("par", controlled=True)
+        rules += _binary_slides("par")
         rules += _nullary_slides("bot")
         rules += _ax_involution(controlled=True)
         return Polygraph(

@@ -9,6 +9,7 @@ from .diagram import (
     Ctrl,
     Diagram,
     TwistGate,
+    gate_str,
     is_gate,
     label_str,
     layer_outputs,
@@ -69,8 +70,6 @@ def render_svg(phi: Diagram) -> str:
                         f'<rect x="{bx}" y="{y + YSTEP // 2 - BOXH // 2}" width="{bw}" '
                         f'height="{BOXH}" fill="white" stroke="black"/>'
                     )
-                    from .diagram import gate_str
-
                     parts.append(
                         f'<text x="{bx + 4}" y="{y + YSTEP // 2 + 4}">{_esc(gate_str(s))}</text>'
                     )
@@ -105,8 +104,6 @@ def render_tikz(phi: Diagram) -> str:
                     lines.append(f"  \\draw ({pos},{-y}) -- ({outpos + 1},{-(y + 1)});")
                     lines.append(f"  \\draw ({pos + 1},{-y}) -- ({outpos},{-(y + 1)});")
                 else:
-                    from .diagram import gate_str
-
                     mid = outpos + max(m - 1, 0) / 2
                     for i in range(k):
                         lines.append(f"  \\draw ({pos + i},{-y}) -- ({mid},{-(y + 0.5)});")

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
-from .formula import Atom, Bot, Formula, One, Par, Tensor, negate, show, subformulas
+from .formula import BOT, ONE, Bot, Formula, One, Par, Tensor, negate, show, subformulas
 from .perm import Permutation
 
 Sequent = tuple  # tuple[Formula, ...]
@@ -123,14 +123,10 @@ def ax(f: Formula) -> Derivation:
 
 
 def one() -> Derivation:
-    from .formula import ONE
-
     return Derivation(OneR(), (), (ONE,))
 
 
 def bot(d: Derivation) -> Derivation:
-    from .formula import BOT
-
     return Derivation(BotR(), (d,), d.conclusion + (BOT,))
 
 
@@ -189,13 +185,9 @@ def check_derivation(d: Derivation, path: tuple = ()) -> Sequent:
         want: Sequent = (r.formula, negate(r.formula))
         arity = 0
     elif isinstance(r, OneR):
-        from .formula import ONE
-
         want = (ONE,)
         arity = 0
     elif isinstance(r, BotR):
-        from .formula import BOT
-
         arity = 1
         if len(ps) == 1:
             want = ps[0] + (BOT,)
@@ -725,8 +717,6 @@ def enumerate_derivations(s: Sequent, max_rules: int) -> list[Derivation]:
         if budget <= 0:
             return []
         out = []
-        from .formula import ONE, BOT
-
         if len(goal) == 2 and goal[1] == negate(goal[0]):
             out.append(ax(goal[0]))
         if goal == (ONE,):
@@ -774,8 +764,6 @@ def enumerate_derivations(s: Sequent, max_rules: int) -> list[Derivation]:
 
 def provable(s: Sequent) -> bool:
     """Exhaustive multiset provability for MLL with units (cut-free)."""
-    from .formula import ONE, BOT
-
     memo: dict = {}
 
     def go(ms: tuple) -> bool:

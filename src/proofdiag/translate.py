@@ -39,6 +39,7 @@ from .diagram import (
     R,
     compose_par,
     compose_seq,
+    gate_count,
     identity,
     interchange_canonical_form,
     parallel,
@@ -214,12 +215,6 @@ def _bottom_ops(phi: Diagram) -> list[int]:
     return out
 
 
-def _final_position(seq: OpSeq, op_idx: int) -> int:
-    """Column of the op's first output in the final word."""
-    tok = seq.ops[op_idx].out_tokens[0]
-    return seq.word.index(tok)
-
-
 def _split_parallel(phi: Diagram, cols: int) -> tuple[Diagram, Diagram]:
     """Split a closed diagram as phi_l * phi_r at the given output column."""
     seq = OpSeq.of(phi)
@@ -258,11 +253,11 @@ def _strip_big(phi: Diagram) -> Diagram:
     """Drive out any B-gates (untangle steps preserve ~)."""
     from .polygraph import polygraph, normalize
 
-    if not any(isinstance(g, BigGate) for _, _, g in phi.gates()):
+    if not gate_count(phi, ("big",)):
         return phi
     p = polygraph("MLL_big")
     nf, _ = normalize(p, phi)
-    if any(isinstance(g, BigGate) for _, _, g in nf.gates()):
+    if gate_count(nf, ("big",)):
         raise MalformedBranch("B-gates cannot be eliminated from this diagram")
     return nf
 

@@ -29,7 +29,6 @@ from proofdiag.diagram import (
     identity,
     interchange_canonical_form as canon,
     is_formula_label,
-    is_gate,
     parallel,
     single,
     L,
@@ -217,30 +216,6 @@ def _successor_moves(word):
     return moves
 
 
-def _append_canonical(phi, gate, pos):
-    """phi is canonical; append one gate and re-canonicalize by bubbling it."""
-    word = phi.output
-    k = len(gate.inputs)
-    layer = list(word)
-    layer[pos : pos + k] = [gate]
-    grid = [list(l) for l in phi.layers] + [layer]
-    from proofdiag.diagram import _try_hoist
-
-    li = len(grid) - 1
-    si = next(i for i, s in enumerate(grid[li]) if is_gate(s))
-    while li > 0 and _try_hoist(grid, li, si):
-        li -= 1
-        si = None
-        for i, s in enumerate(grid[li]):
-            if s is gate:
-                si = i
-                break
-        if si is None:
-            break
-    layers = [tuple(l) for l in grid if any(is_gate(s) for s in l)]
-    return Diagram(phi.input, layers)
-
-
 class _Prover:
     def __init__(self):
         self.memo = {}
@@ -256,21 +231,22 @@ def test_criterion_3_controlled_correspondence():
     t0 = time.time()
     prover = _Prover()
     start = identity(())
-    seen = {(hash(start), hash(repr(start)))}
+    seen = {start}
     frontier = [start]
     total = checked_seq = 0
     for depth in range(1, 6):
         new = []
         for phi in frontier:
-            for gate, pos in _successor_moves(phi.output):
+            word = phi.output
+            for gate, pos in _successor_moves(word):
+                rest = identity(word[pos + len(gate.inputs) :])
                 try:
-                    nxt = _append_canonical(phi, gate, pos)
+                    nxt = canon(compose_seq(phi, parallel(identity(word[:pos]), single(gate), rest)))
                 except DiagramError:
                     continue
-                key = (hash(nxt), hash(repr(nxt)))
-                if key in seen:
+                if nxt in seen:
                     continue
-                seen.add(key)
+                seen.add(nxt)
                 total += 1
                 if is_sequentializable(nxt):
                     gamma = boundary_sequent(nxt)
@@ -286,8 +262,7 @@ def test_criterion_3_controlled_correspondence():
     for d in enumerate_derivations((a, negate(a)), 3):
         phi = represent(d)
         if gate_count(phi) <= 5:
-            key = (hash(phi), hash(repr(phi)))
-            if key not in seen:
+            if phi not in seen:
                 missing += 1
     for gamma in [(One(),), (a, negate(a)), (One(), Bot())]:
         assert prover(gamma)

@@ -4,9 +4,17 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from proofdiag.formula import atom, negate
-from proofdiag.diagram import BigGate, interchange_canonical_form as canon, single
+from proofdiag.diagram import (
+    GATE_TYPES,
+    AxGate,
+    BigGate,
+    interchange_canonical_form as canon,
+    parallel,
+    single,
+)
 from proofdiag.diagramio import (
     ParseError,
     derivation_text,
@@ -61,6 +69,87 @@ def test_diagram_text_round_trip_with_big_gate():
     phi = canon(single(BigGate((a, negate(a)), (b,))))
     text = diagram_text(phi)
     assert parse_diagram(text) == phi
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the text parsers: junk built from the grammar's own pieces, and
+# valid files with a few characters edited.
+
+LABELS = ["a", "a^", "b", "(a*b)", "(b^|a^)", "1", "_", "L", "R", "-", "", "(", "[a]", "a b"]
+EDIT_CHARS = list(",;:()[]!-^ab1_LR \n")
+
+
+@st.composite
+def _edited(draw, texts):
+    text = draw(st.sampled_from(texts))
+    for sig in ("controlled", "uncontrolled"):
+        other = draw(st.sampled_from([sig, "controlled", "uncontrolled", "other"]))
+        text = text.replace(f"signature: {sig}\n", f"signature: {other}\n")
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 3)))
+        text = text[:i] + draw(st.sampled_from(["", *EDIT_CHARS])) + text[j:]
+    return text
+
+
+@st.composite
+def _diagram_junk(draw):
+    def word():
+        return ",".join(draw(st.lists(st.sampled_from(LABELS), max_size=4)))
+
+    def gate():
+        head = draw(st.sampled_from([*GATE_TYPES, "foo", "tensor!"]))
+        args = [
+            draw(st.sampled_from(LABELS)) if draw(st.booleans()) else f"[{word()}]"
+            for _ in range(draw(st.integers(0, 3)))
+        ]
+        return head + draw(st.sampled_from(["", f"({','.join(args)})", f"({','.join(args)}"]))
+
+    def slot():
+        return draw(st.sampled_from(["id " + draw(st.sampled_from(LABELS)), "gate " + gate(), "x"]))
+
+    lines = [
+        draw(st.sampled_from(["proofdiag-diagram v1", "proofdiag-diagram v2"])),
+        "signature: " + draw(st.sampled_from(["controlled", "uncontrolled", "other"])),
+        "input: " + word(),
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.append("layer: " + "; ".join(slot() for _ in range(draw(st.integers(0, 4)))))
+    return "\n".join(lines) + "\n"
+
+
+DIAGRAM_TEXTS = [
+    *(diagram_text(represent(d, sig)) for d in CORPUS for sig in ("controlled", "uncontrolled")),
+    diagram_text(canon(single(BigGate((a, negate(a)), (b,))))),
+    diagram_text(parallel(single(BigGate((a,), (b,))), single(AxGate(a)))),
+]
+DERIVATION_TOKENS = "( ) ax one bot par tensor cut ex a a^ (a*b) 1 2 -1 2,1 x".split()
+
+
+@seed(4)
+@settings(max_examples=400, database=None, deadline=None)
+@given(st.one_of(_diagram_junk(), _edited(DIAGRAM_TEXTS)))
+def test_fuzz_parse_diagram(text):
+    try:
+        phi = parse_diagram(text)
+    except ParseError:
+        return
+    assert parse_diagram(diagram_text(phi)) == phi
+
+
+@seed(4)
+@settings(max_examples=400, database=None, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.sampled_from(DERIVATION_TOKENS), max_size=12).map(" ".join),
+        _edited([derivation_text(d) for d in CORPUS]),
+    )
+)
+def test_fuzz_parse_derivation(text):
+    try:
+        parse_derivation(text)
+    except ParseError:
+        pass
 
 
 def test_parse_errors():
@@ -155,8 +244,20 @@ def test_cli_oracle_enumerate():
         "proofdiag-diagram v1\nsignature: controlled\ninput: -\nlayer: gate ax((a*)\n",
         "proofdiag-diagram v1\n",
         "proofdiag-diagram v1\nsignature: controlled\n",
+        "proofdiag-diagram v1\nsignature: controlled\ninput: L,L,a,R,R,L,b,R\nlayer: gate big([L,a,R]x,[b])\n",
+        "proofdiag-diagram v1\nsignature: controlled\ninput: a,b\nlayer: gate par(a,,b)\n",
+        "proofdiag-diagram v1\nsignature: other\ninput: -\nlayer: gate ax(a)\n",
+        "proofdiag-diagram v1\nsignature: uncontrolled\ninput: L,a,R,L,b,R\nlayer: gate big([a],[b])\n",
     ],
-    ids=["bad-gate-formula", "header-only", "no-input-line"],
+    ids=[
+        "bad-gate-formula",
+        "header-only",
+        "no-input-line",
+        "big-word-junk",
+        "empty-argument",
+        "unknown-signature",
+        "uncontrolled-big",
+    ],
 )
 def test_cli_malformed_diagram_is_a_parse_error(tmp_path, text):
     f = tmp_path / "bad.diag"
