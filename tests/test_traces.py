@@ -3,29 +3,35 @@
 Normal forms, the site data of every rewrite step, the rule dumps of the
 five polygraphs and the step records of ``proofdiag normalize --emit-trace``
 are compared with values recorded before the rule engine was refactored;
-a change to any of them is a change of behaviour.  Site fingerprints are
+a change to any of them is a change of behaviour.  So are the derivation
+layer's results (printing, parsing, ``sim_neighbors``, ``cut_step``,
+``represent`` and ``sequentialize``), recorded before validity moved into
+``Derivation``.  Site fingerprints are
 left out: they are ``hash(phi)``, which is salted per process.
 """
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from conftest import _handmade
-from proofdiag.diagramio import diagram_text, polygraph_rules_text
+from conftest import _handmade, random_with_cut
+from proofdiag.diagramio import derivation_text, diagram_text, parse_derivation, polygraph_rules_text
 from proofdiag.polygraph import POLYGRAPH_NAMES, normalize, polygraph
-from proofdiag.sequent import tensor
-from proofdiag.translate import represent
+from proofdiag.sequent import cut_step, derivation_str, find_cut_paths, sim_neighbors, tensor
+from proofdiag.translate import represent, sequentialize
 
 GOLDEN = Path(__file__).parent / "golden"
 
 SYSTEMS = (("Sem", "controlled"), ("MLL_big", "controlled"), ("MLLu_Cut", "uncontrolled"))
 
 TRACE_DIGEST = "02c09e1d1741ea005e72cf35b6106a615814b1c1235d655a74623612b443dd59"
+
+DERIVATION_DIGEST = "79d81561fc0d03f7d179223e561ca8daf0919da8de442418d337f5b2f081dca1"
 
 
 def _step_data(rule_name, site) -> tuple:
@@ -51,6 +57,28 @@ def test_corpus_traces_digest(corpus):
             for rule_name, site in trace.steps:
                 h.update(f"{_step_data(rule_name, site)!r}\n".encode())
     assert h.hexdigest() == TRACE_DIGEST
+
+
+def _derivation_or_error(f, *args) -> str:
+    try:
+        return derivation_str(f(*args))
+    except Exception as e:
+        return type(e).__name__
+
+
+def test_derivation_layer_digest(corpus):
+    rng = random.Random(7)
+    derivations = corpus + [random_with_cut(rng, rng.randint(2, 12)) for _ in range(60)]
+    h = hashlib.sha256()
+    for d in derivations:
+        h.update(f"{derivation_str(d)}\n".encode())
+        h.update(" ".join(map(derivation_str, sim_neighbors(d))).encode())
+        for path in find_cut_paths(d):
+            h.update(f"{path} {_derivation_or_error(cut_step, d, path)}\n".encode())
+        h.update(f"{represent(d)!r}\n{represent(d, 'uncontrolled')!r}\n".encode())
+        h.update(f"{_derivation_or_error(sequentialize, represent(d))}\n".encode())
+        h.update(f"{parse_derivation(derivation_text(d)) == d}\n".encode())
+    assert h.hexdigest() == DERIVATION_DIGEST
 
 
 @pytest.mark.parametrize("name", POLYGRAPH_NAMES)
