@@ -377,6 +377,20 @@ def single(gate: Gate) -> Diagram:
     return Diagram(gate.inputs, ((gate,),))
 
 
+def controlled_signature(phi: Diagram) -> Optional[bool]:
+    """Whether the gates of phi are controlled: their ``bool`` fields, and a
+    B-gate is controlled.  None when only shared gates (par, twist, bottom)
+    occur, and ``DiagramError`` when the gates mix the two signatures."""
+    flags = set()
+    for _, _, g in phi.gates():
+        if isinstance(g, BigGate):
+            flags.add(True)
+        flags.update(getattr(g, name) for name, kind in gate_fields(type(g)) if kind == "bool")
+    if len(flags) > 1:
+        raise DiagramError("the diagram mixes controlled and uncontrolled gates")
+    return flags.pop() if flags else None
+
+
 def gate_count(phi: Diagram, families: Optional[Iterable[str]] = None) -> int:
     """Number of gates, optionally restricted to a set of gate families."""
     fams = set(families) if families is not None else None

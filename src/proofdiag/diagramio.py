@@ -5,6 +5,8 @@ own parser bit-exactly.
 """
 from __future__ import annotations
 
+from dataclasses import fields
+
 from .formula import FormulaParseError, parse as parse_formula
 from .diagram import (
     GATE_TYPES,
@@ -14,6 +16,7 @@ from .diagram import (
     Gate,
     L,
     R,
+    controlled_signature,
     gate_fields,
     gate_str,
     identity,
@@ -22,17 +25,7 @@ from .diagram import (
     word_str,
 )
 from .perm import Permutation
-from .sequent import (
-    Derivation,
-    ax,
-    bot,
-    cut,
-    derivation_str,
-    exchange,
-    one,
-    par,
-    tensor,
-)
+from .sequent import RULE_TAGS, Derivation, derivation_str, par
 
 DIAGRAM_HEADER = "proofdiag-diagram v1"
 
@@ -122,12 +115,7 @@ def parse_gate(text: str, controlled: bool) -> Gate:
 
 
 def diagram_signature(phi: Diagram) -> str:
-    for _, _, g in phi.gates():
-        if getattr(g, "controlled", None) is True or isinstance(g, BigGate):
-            return "controlled"
-        if getattr(g, "controlled", None) is False:
-            return "uncontrolled"
-    return "controlled"
+    return "uncontrolled" if controlled_signature(phi) is False else "controlled"
 
 
 def diagram_text(phi: Diagram) -> str:
@@ -220,47 +208,35 @@ def parse_derivation(text: str) -> Derivation:
                 if depth == 0:
                     return "".join(parts)
 
+    def permutation() -> Permutation:
+        eat("(")
+        imgs = []
+        while peek() != ")":
+            imgs.extend(int(x) for x in eat().split(",") if x)
+        eat(")")
+        return Permutation(tuple(imgs))
+
+    # how each kind of rule parameter is read, as derivation_str writes it
+    read = {
+        "Formula": lambda: parse_formula(formula_text()),
+        "int": lambda: int(eat()),
+        "Permutation": permutation,
+    }
+
     def node() -> Derivation:
         eat("(")
         head = eat()
-        if head == "ax":
-            f = parse_formula(formula_text())
-            eat(")")
-            return ax(f)
-        if head == "one":
-            eat(")")
-            return one()
-        if head == "bot":
-            d = node()
-            eat(")")
-            return bot(d)
-        if head == "par":
-            p = None
-            if peek() != "(":
-                p = int(eat())
-            d = node()
-            eat(")")
-            return par(d, p)
-        if head == "tensor":
-            d1 = node()
-            d2 = node()
-            eat(")")
-            return tensor(d1, d2)
-        if head == "cut":
-            d1 = node()
-            d2 = node()
-            eat(")")
-            return cut(d1, d2)
-        if head == "ex":
-            eat("(")
-            imgs = []
-            while peek() != ")":
-                imgs.extend(int(x) for x in eat().split(",") if x)
-            eat(")")
-            d = node()
-            eat(")")
-            return exchange(d, Permutation(tuple(imgs)))
-        raise ParseError(f"unknown rule {head!r}")
+        cls = RULE_TAGS.get(head)
+        if cls is None:
+            raise ParseError(f"unknown rule {head!r}")
+        # a position may be left out, as in (par D): then the rule is at the end
+        kinds = [f.type for f in fields(cls)]
+        params = [read[kind]() for kind in kinds if not (kind == "int" and peek() == "(")]
+        premises = tuple(node() for _ in range(cls.arity))
+        eat(")")
+        if len(params) < len(kinds):
+            return par(*premises)
+        return cls(*params).build(premises)
 
     try:
         d = node()

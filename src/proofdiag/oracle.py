@@ -24,7 +24,7 @@ from .diagram import (
 )
 from .matching import MatchError, find_matches, instantiate, replace_at, unify_formula
 from .polygraph import Polygraph, RewriteTrace, normalize, polygraph
-from .sequent import Derivation, check_derivation
+from .sequent import Derivation
 from .translate import is_sequentializable, represent
 from . import bigtwist
 from .bigtwist import NoCrossingSplit, NotIrreducible, crossing_splits_of
@@ -200,8 +200,6 @@ def equivalent(
 ) -> Certificate:
     """Bidirectional search over the unoriented congruence of the chosen
     polygraph, from the representations of the two derivations."""
-    check_derivation(d1)
-    check_derivation(d2)
     if sorted(map(repr, d1.conclusion)) != sorted(map(repr, d2.conclusion)):
         raise ConclusionMismatch(
             f"{d1.conclusion} vs {d2.conclusion}"
@@ -294,7 +292,6 @@ class Denotation:
 
 
 def denotation(d: Derivation) -> Denotation:
-    check_derivation(d)
     phi = represent(d)
     sem = polygraph("Sem")
     nf, trace = normalize(sem, phi)

@@ -46,6 +46,7 @@ from .diagram import (
     R,
     layer_outputs,
 )
+from . import bigtwist
 from .matching import MatchSite, find_matches, replace_at, sorted_sites
 from .perm import Permutation, canonical_perm_diagram, ladder_left_word, ladder_right_word
 
@@ -594,8 +595,6 @@ def polygraph(name: str) -> Polygraph:
             rules=tuple(rules),
         )
     if name in ("MLL_big", "Sem"):
-        from . import bigtwist  # procedural rules; imported lazily
-
         base = list(polygraph("MLL_ctrl").rules)
         big_rules: list[Rule] = [
             _big_annihilate(),

@@ -14,6 +14,15 @@ Sequents are ordered tuples of formulas.  Rules are rigid:
 - ``exchange(d,s)``  applies s to positions: conclusion[s(i)] = premise[i];
                      consecutive exchanges fuse, identity exchanges vanish
 
+Each rule is written once, as a ``RuleTag``: a frozen dataclass whose fields
+are the rule's parameters, with its ``head`` in the text format, its
+``arity`` and ``conclude``, which gives the conclusion from the premises'
+sequents or raises ``InvalidRule``.  ``Derivation(rule, premises)`` applies
+it when it is built, so every derivation is valid and ``check_derivation``
+only reads the conclusion.  Printing (``derivation_str``) and parsing (in
+``diagramio``, through ``RULE_TAGS``, the head-to-type table) go through the
+same fields.
+
 ``sim_neighbors`` generates the one-step standard equivalence: permutations
 of inference rules with disjoint active formulas, including the exchange
 bookkeeping moves that rigid rule formats require.
@@ -21,8 +30,8 @@ bookkeeping moves that rigid rule formats require.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from dataclasses import dataclass, field, fields
+from typing import ClassVar, Iterator, Optional
 
 from .formula import BOT, ONE, Bot, Formula, One, Par, Tensor, negate, show, subformulas
 from .perm import Permutation
@@ -31,60 +40,140 @@ Sequent = tuple  # tuple[Formula, ...]
 
 
 class InvalidRule(ValueError):
-    def __init__(self, path: tuple, reason: str):
-        self.path = path
-        self.reason = reason
-        super().__init__(f"invalid rule at {list(path)}: {reason}")
+    """Premises that the rule does not apply to."""
 
 
 class NotApplicable(ValueError):
     """The cut at this node is commutative; a ~-permutation is needed first."""
 
 
+class RuleTag:
+    """An inference rule: a frozen dataclass whose fields are its parameters.
+
+    ``head`` names it in the text format, ``arity`` is its number of premises
+    and ``conclude`` is the rule itself: the conclusion from the premises'
+    sequents, or ``InvalidRule``.
+    """
+
+    __slots__ = ()
+    head: ClassVar[str]
+    arity: ClassVar[int]
+
+    def conclude(self, ps: tuple) -> Sequent:
+        raise NotImplementedError
+
+    def build(self, premises: tuple) -> Derivation:
+        """The derivation of this rule over premises, as the constructors build it."""
+        return Derivation(self, premises)
+
+
 @dataclass(frozen=True)
-class AxR:
+class AxR(RuleTag):
     formula: Formula
+    head = "ax"
+    arity = 0
+
+    def conclude(self, ps: tuple) -> Sequent:
+        return (self.formula, negate(self.formula))
 
 
 @dataclass(frozen=True)
-class OneR:
-    pass
+class OneR(RuleTag):
+    head = "one"
+    arity = 0
+
+    def conclude(self, ps: tuple) -> Sequent:
+        return (ONE,)
 
 
 @dataclass(frozen=True)
-class BotR:
-    pass
+class BotR(RuleTag):
+    head = "bot"
+    arity = 1
+
+    def conclude(self, ps: tuple) -> Sequent:
+        return ps[0] + (BOT,)
 
 
 @dataclass(frozen=True)
-class ParR:
+class ParR(RuleTag):
     pos: int
+    head = "par"
+    arity = 1
+
+    def conclude(self, ps: tuple) -> Sequent:
+        (g,) = ps
+        p = self.pos
+        if not 1 <= p <= len(g) - 1:
+            raise InvalidRule(f"par position {p} out of range")
+        return g[: p - 1] + (Par(g[p - 1], g[p]),) + g[p + 1 :]
 
 
 @dataclass(frozen=True)
-class TensorR:
-    pos: int
+class TensorR(RuleTag):
+    head = "tensor"
+    arity = 2
+
+    def conclude(self, ps: tuple) -> Sequent:
+        g1, g2 = ps
+        if not g1 or not g2:
+            raise InvalidRule("tensor premises must be nonempty")
+        return g1[:-1] + (Tensor(g1[-1], g2[0]),) + g2[1:]
 
 
 @dataclass(frozen=True)
-class CutR:
-    pos: int
-    formula: Formula
+class CutR(RuleTag):
+    head = "cut"
+    arity = 2
+
+    def conclude(self, ps: tuple) -> Sequent:
+        g1, g2 = ps
+        if not g1 or not g2:
+            raise InvalidRule("cut premises must be nonempty")
+        if g2[0] != negate(g1[-1]):
+            raise InvalidRule(f"cut mismatch: {show(g1[-1])} against {show(g2[0])}")
+        return g1[:-1] + g2[1:]
 
 
 @dataclass(frozen=True)
-class ExchangeR:
+class ExchangeR(RuleTag):
     perm: Permutation
+    head = "ex"
+    arity = 1
+
+    def conclude(self, ps: tuple) -> Sequent:
+        (g,) = ps
+        if len(self.perm) != len(g):
+            raise InvalidRule("exchange size mismatch")
+        return self.perm.apply(g)
+
+    def build(self, premises: tuple) -> Derivation:
+        """Fused with an exchange just above it; an identity exchange is left out."""
+        perm, (d,) = self.perm, premises
+        if isinstance(d.rule, ExchangeR) and len(perm) == len(d.conclusion):
+            perm, (d,) = perm.compose(d.rule.perm), d.premises
+        if perm.is_identity() and len(perm) == len(d.conclusion):
+            return d
+        return Derivation(ExchangeR(perm), (d,))
 
 
-RuleTag = Union[AxR, OneR, BotR, ParR, TensorR, CutR, ExchangeR]
+RULE_TAGS = {cls.head: cls for cls in RuleTag.__subclasses__()}
 
 
 @dataclass(frozen=True)
 class Derivation:
+    """A rule over its premises; the conclusion is derived when it is built,
+    so an invalid derivation cannot be built."""
+
     rule: RuleTag
     premises: tuple
-    conclusion: Sequent
+    conclusion: Sequent = field(init=False, compare=False)
+
+    def __post_init__(self):
+        r = self.rule
+        if len(self.premises) != r.arity:
+            raise InvalidRule(f"{r.head} takes {r.arity} premises, got {len(self.premises)}")
+        object.__setattr__(self, "conclusion", r.conclude(tuple(p.conclusion for p in self.premises)))
 
     def __repr__(self) -> str:
         return f"<{derivation_str(self)}>"
@@ -94,24 +183,19 @@ def sequent_str(s: Sequent) -> str:
     return ", ".join(show(f) for f in s)
 
 
+# how derivation_str writes each kind of rule parameter, by its annotation
+_PARAM_STR = {
+    "Formula": show,
+    "int": str,
+    "Permutation": lambda s: f"({','.join(map(str, s.images))})",
+}
+
+
 def derivation_str(d: Derivation) -> str:
+    """``(head params premises)``, with the rule's fields as its params."""
     r = d.rule
-    if isinstance(r, AxR):
-        return f"(ax {show(r.formula)})"
-    if isinstance(r, OneR):
-        return "(one)"
-    if isinstance(r, BotR):
-        return f"(bot {derivation_str(d.premises[0])})"
-    if isinstance(r, ParR):
-        return f"(par {r.pos} {derivation_str(d.premises[0])})"
-    if isinstance(r, TensorR):
-        return f"(tensor {derivation_str(d.premises[0])} {derivation_str(d.premises[1])})"
-    if isinstance(r, CutR):
-        return f"(cut {derivation_str(d.premises[0])} {derivation_str(d.premises[1])})"
-    if isinstance(r, ExchangeR):
-        body = ",".join(str(v) for v in r.perm.images)
-        return f"(ex ({body}) {derivation_str(d.premises[0])})"
-    raise TypeError(r)
+    params = [_PARAM_STR[f.type](getattr(r, f.name)) for f in fields(r)]
+    return f"({' '.join([r.head, *params, *map(derivation_str, d.premises)])})"
 
 
 # ---------------------------------------------------------------------------
@@ -119,122 +203,35 @@ def derivation_str(d: Derivation) -> str:
 
 
 def ax(f: Formula) -> Derivation:
-    return Derivation(AxR(f), (), (f, negate(f)))
+    return Derivation(AxR(f), ())
 
 
 def one() -> Derivation:
-    return Derivation(OneR(), (), (ONE,))
+    return Derivation(OneR(), ())
 
 
 def bot(d: Derivation) -> Derivation:
-    return Derivation(BotR(), (d,), d.conclusion + (BOT,))
+    return Derivation(BotR(), (d,))
 
 
 def par(d: Derivation, pos: Optional[int] = None) -> Derivation:
-    n = len(d.conclusion)
-    if pos is None:
-        pos = n - 1
-    if not 1 <= pos <= n - 1:
-        raise InvalidRule((), f"par position {pos} out of range")
-    a, b = d.conclusion[pos - 1], d.conclusion[pos]
-    concl = d.conclusion[: pos - 1] + (Par(a, b),) + d.conclusion[pos + 1 :]
-    return Derivation(ParR(pos), (d,), concl)
+    return Derivation(ParR(len(d.conclusion) - 1 if pos is None else pos), (d,))
 
 
 def tensor(d1: Derivation, d2: Derivation) -> Derivation:
-    if not d1.conclusion or not d2.conclusion:
-        raise InvalidRule((), "tensor premises must be nonempty")
-    a, b = d1.conclusion[-1], d2.conclusion[0]
-    concl = d1.conclusion[:-1] + (Tensor(a, b),) + d2.conclusion[1:]
-    return Derivation(TensorR(len(d1.conclusion)), (d1, d2), concl)
+    return Derivation(TensorR(), (d1, d2))
 
 
 def cut(d1: Derivation, d2: Derivation) -> Derivation:
-    if not d1.conclusion or not d2.conclusion:
-        raise InvalidRule((), "cut premises must be nonempty")
-    a = d1.conclusion[-1]
-    if d2.conclusion[0] != negate(a):
-        raise InvalidRule(
-            (),
-            f"cut mismatch: {show(a)} against {show(d2.conclusion[0])}",
-        )
-    concl = d1.conclusion[:-1] + d2.conclusion[1:]
-    return Derivation(CutR(len(d1.conclusion), a), (d1, d2), concl)
+    return Derivation(CutR(), (d1, d2))
 
 
 def exchange(d: Derivation, perm: Permutation) -> Derivation:
-    if len(perm) != len(d.conclusion):
-        raise InvalidRule((), "exchange size mismatch")
-    if isinstance(d.rule, ExchangeR):
-        perm = perm.compose(d.rule.perm)
-        d = d.premises[0]
-    if perm.is_identity():
-        return d
-    return Derivation(ExchangeR(perm), (d,), perm.apply(d.conclusion))
+    return ExchangeR(perm).build((d,))
 
 
-# ---------------------------------------------------------------------------
-# Checking
-
-
-def check_derivation(d: Derivation, path: tuple = ()) -> Sequent:
-    """Re-derive the conclusion of every node; the root sequent on success."""
-    r = d.rule
-    ps = [check_derivation(p, path + (i,)) for i, p in enumerate(d.premises)]
-    if isinstance(r, AxR):
-        want: Sequent = (r.formula, negate(r.formula))
-        arity = 0
-    elif isinstance(r, OneR):
-        want = (ONE,)
-        arity = 0
-    elif isinstance(r, BotR):
-        arity = 1
-        if len(ps) == 1:
-            want = ps[0] + (BOT,)
-    elif isinstance(r, ParR):
-        arity = 1
-        if len(ps) == 1:
-            g = ps[0]
-            if not 1 <= r.pos <= len(g) - 1:
-                raise InvalidRule(path, f"par position {r.pos} out of range")
-            want = g[: r.pos - 1] + (Par(g[r.pos - 1], g[r.pos]),) + g[r.pos + 1 :]
-    elif isinstance(r, TensorR):
-        arity = 2
-        if len(ps) == 2:
-            g1, g2 = ps
-            if not g1 or not g2:
-                raise InvalidRule(path, "tensor premise empty")
-            if r.pos != len(g1):
-                raise InvalidRule(path, "tensor position disagrees with left premise")
-            want = g1[:-1] + (Tensor(g1[-1], g2[0]),) + g2[1:]
-    elif isinstance(r, CutR):
-        arity = 2
-        if len(ps) == 2:
-            g1, g2 = ps
-            if not g1 or not g2:
-                raise InvalidRule(path, "cut premise empty")
-            if g1[-1] != r.formula:
-                raise InvalidRule(path, "left premise does not end with the cut formula")
-            if g2[0] != negate(r.formula):
-                raise InvalidRule(path, "right premise does not start with the dual")
-            if r.pos != len(g1):
-                raise InvalidRule(path, "cut position disagrees with left premise")
-            want = g1[:-1] + g2[1:]
-    elif isinstance(r, ExchangeR):
-        arity = 1
-        if len(ps) == 1:
-            if len(r.perm) != len(ps[0]):
-                raise InvalidRule(path, "exchange size mismatch")
-            want = r.perm.apply(ps[0])
-    else:
-        raise InvalidRule(path, f"unknown rule {r!r}")
-    if len(ps) != arity:
-        raise InvalidRule(path, f"arity mismatch: got {len(ps)}, want {arity}")
-    if want != d.conclusion:
-        raise InvalidRule(
-            path,
-            f"conclusion mismatch: stored {sequent_str(d.conclusion)}, derived {sequent_str(want)}",
-        )
+def check_derivation(d: Derivation) -> Sequent:
+    """The conclusion of d; a derivation is checked when it is built."""
     return d.conclusion
 
 
@@ -255,27 +252,12 @@ def replace_subderivation(d: Derivation, path: tuple, new: Derivation) -> Deriva
     i = path[0]
     prem = list(d.premises)
     prem[i] = replace_subderivation(prem[i], path[1:], new)
-    return Derivation(d.rule, tuple(prem), d.conclusion)
+    return Derivation(d.rule, tuple(prem))
 
 
 def _rebuild(d: Derivation) -> Derivation:
-    """Re-run the smart constructors over the same tree shape."""
-    r = d.rule
-    if isinstance(r, AxR):
-        return ax(r.formula)
-    if isinstance(r, OneR):
-        return one()
-    if isinstance(r, BotR):
-        return bot(_rebuild(d.premises[0]))
-    if isinstance(r, ParR):
-        return par(_rebuild(d.premises[0]), r.pos)
-    if isinstance(r, TensorR):
-        return tensor(_rebuild(d.premises[0]), _rebuild(d.premises[1]))
-    if isinstance(r, CutR):
-        return cut(_rebuild(d.premises[0]), _rebuild(d.premises[1]))
-    if isinstance(r, ExchangeR):
-        return exchange(_rebuild(d.premises[0]), r.perm)
-    raise TypeError(r)
+    """Build the same tree again through the constructors, fusing exchanges."""
+    return d.rule.build(tuple(map(_rebuild, d.premises)))
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +423,6 @@ def _local_neighbors(d: Derivation) -> Iterator[Derivation]:
         p = r.pos
         if isinstance(x.rule, (TensorR, CutR)):
             l, rr = x.premises
-            split = x.rule.pos  # position of the principal (or join) in x
             is_t = isinstance(x.rule, TensorR)
             width = 1 if is_t else 0
             nl = len(l.conclusion)
@@ -575,13 +556,11 @@ def _match_perm(src: Sequent, dst: Sequent) -> Optional[Permutation]:
 
 def sim_neighbors(d: Derivation) -> list[Derivation]:
     """All derivations one standard-equivalence permutation away."""
-    check_derivation(d)
     out = {}
     for path, node in subderivations(d):
         for cand in _local_neighbors(node):
             try:
                 nd = _rebuild(replace_subderivation(d, path, cand))
-                check_derivation(nd)
             except InvalidRule:
                 continue
             if nd.conclusion != d.conclusion or nd == d:
@@ -608,7 +587,7 @@ def cut_step(d: Derivation, path: tuple) -> Derivation:
     if not isinstance(node.rule, CutR):
         raise NotApplicable(f"node at {list(path)} is not a cut")
     left, right = node.premises
-    a = node.rule.formula
+    a = left.conclusion[-1]
     repl = None
 
     lcore, lperm = _through_exchange(left)
@@ -633,7 +612,7 @@ def cut_step(d: Derivation, path: tuple) -> Derivation:
     if repl is None and isinstance(a, Tensor):
         p0 = None
         if isinstance(lcore.rule, TensorR):
-            p0 = lcore.rule.pos
+            p0 = len(lcore.premises[0].conclusion)
         left_ok = p0 is not None and (
             (lperm is None and p0 == len(lcore.conclusion))
             or (lperm is not None and lperm(p0) == len(lcore.conclusion))
@@ -688,9 +667,7 @@ def cut_step(d: Derivation, path: tuple) -> Derivation:
         if fix is None:
             raise NotApplicable("step result does not rearrange to the conclusion")
         repl = exchange(repl, fix)
-    out = replace_subderivation(d, path, repl)
-    check_derivation(out)
-    return out
+    return replace_subderivation(d, path, repl)
 
 
 def find_cut_paths(d: Derivation) -> list[tuple]:
@@ -736,7 +713,7 @@ def enumerate_derivations(s: Sequent, max_rules: int) -> list[Derivation]:
                         out.append(tensor(p1, p2))
         # analytic cuts
         if budget >= 3:
-            for a in subs:
+            for a in sorted(subs, key=show):
                 for k in range(len(goal) + 1):
                     left, right = goal[:k], goal[k:]
                     for p1 in go(left + (a,), budget - 2, True):

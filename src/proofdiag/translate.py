@@ -24,7 +24,6 @@ from typing import Optional
 from .formula import show
 from .diagram import (
     AxGate,
-    BigGate,
     BotGate,
     Ctrl,
     CutGate,
@@ -39,6 +38,7 @@ from .diagram import (
     R,
     compose_par,
     compose_seq,
+    controlled_signature,
     gate_count,
     identity,
     interchange_canonical_form,
@@ -46,6 +46,7 @@ from .diagram import (
     single,
 )
 from .perm import Permutation, canonical_perm_diagram
+from .polygraph import normalize, polygraph
 from .sequent import (
     AxR,
     BotR,
@@ -59,7 +60,6 @@ from .sequent import (
     _move_from_end,
     ax,
     bot,
-    check_derivation,
     cut,
     exchange,
     one,
@@ -81,8 +81,7 @@ class MalformedBranch(DiagramError):
 
 
 def represent(d: Derivation, sig: str = "controlled") -> Diagram:
-    """The proof diagram of a valid derivation, over the chosen signature."""
-    check_derivation(d)
+    """The proof diagram of a derivation, over the chosen signature."""
     controlled = sig == "controlled"
     if sig not in ("controlled", "uncontrolled"):
         raise DiagramError(f"unknown signature {sig!r}")
@@ -127,7 +126,7 @@ def _rep(d: Derivation, c: bool) -> Diagram:
             b = d.premises[1].conclusion[0]
             g = TensorGate(a, b, c)
         else:
-            g = CutGate(r.formula, c)
+            g = CutGate(d.premises[0].conclusion[-1], c)
         k = 4 if c else 2
         step = parallel(identity(word[:p]), single(g), identity(word[p + k :]))
         return compose_seq(top, step)
@@ -251,8 +250,6 @@ def _split_parallel(phi: Diagram, cols: int) -> tuple[Diagram, Diagram]:
 
 def _strip_big(phi: Diagram) -> Diagram:
     """Drive out any B-gates (untangle steps preserve ~)."""
-    from .polygraph import polygraph, normalize
-
     if not gate_count(phi, ("big",)):
         return phi
     p = polygraph("MLL_big")
@@ -269,7 +266,6 @@ def sequentialize(phi: Diagram) -> Derivation:
         raise NotSequentializable(f"boundary {phi.output}")
     phi = _strip_big(phi)
     d = _seq(phi)
-    check_derivation(d)
     if d.conclusion != boundary_sequent(phi):
         raise MalformedBranch("sequentialization changed the conclusion")
     return d
@@ -358,15 +354,13 @@ def to_proof_structure(phi: Diagram) -> ProofStructure:
     Axiom and cut gates become turn-back wires, twists become invisible
     crossings, the other gates become cells.  No jump assignment is kept.
     """
+    if controlled_signature(phi):
+        raise DiagramError("proof structures are over the uncontrolled signature")
     seq = OpSeq.of(phi)
     cells = []
     cell_of: dict = {}
     for i, op in enumerate(seq.ops):
         g = op.gate
-        if isinstance(g, BigGate) or (
-            hasattr(g, "controlled") and g.controlled
-        ):
-            raise DiagramError("proof structures are over the uncontrolled signature")
         if isinstance(g, TensorGate):
             cells.append((f"n{i}", "tensor", g.outputs[0]))
         elif isinstance(g, ParGate):

@@ -1,5 +1,6 @@
 """File formats round-trip bit-exactly; CLI exit codes and determinism."""
 import json
+import os
 import subprocess
 import sys
 
@@ -11,6 +12,7 @@ from proofdiag.diagram import (
     GATE_TYPES,
     AxGate,
     BigGate,
+    DiagramError,
     interchange_canonical_form as canon,
     parallel,
     single,
@@ -26,7 +28,7 @@ from proofdiag.diagramio import (
 from proofdiag.perm import Permutation
 from proofdiag.render import render_svg, render_tikz
 from proofdiag.sequent import ax, bot, cut, exchange, one, par, tensor
-from proofdiag.translate import represent
+from proofdiag.translate import represent, to_proof_structure
 
 a, b = atom("a"), atom("b")
 
@@ -69,6 +71,15 @@ def test_diagram_text_round_trip_with_big_gate():
     phi = canon(single(BigGate((a, negate(a)), (b,))))
     text = diagram_text(phi)
     assert parse_diagram(text) == phi
+
+
+def test_mixed_signatures_are_refused():
+    # one signature line cannot say both, so the diagram has no text
+    mixed = parallel(single(AxGate(a)), single(AxGate(b, False)))
+    with pytest.raises(DiagramError):
+        diagram_text(mixed)
+    with pytest.raises(DiagramError):
+        to_proof_structure(mixed)
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +179,11 @@ def test_cli_check_and_exit_codes(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("(par (par (ax a)))\n")
     assert _cli("check", str(bad)).returncode == 2  # fails to parse as valid
+    # rules that do not apply to their premises fail on read
+    for text in ("(par 2 (ax a))", "(ex (1,2,3) (ax a))", "(cut (ax a) (ax b))"):
+        bad.write_text(text + "\n")
+        r = _cli("check", str(bad))
+        assert r.returncode == 2 and r.stderr.startswith("parse error:"), text
     missing = _cli("check", str(tmp_path / "nope.txt"))
     assert missing.returncode == 2
 
@@ -236,6 +252,18 @@ def test_cli_oracle_enumerate():
     assert r.returncode == 0
     payload = json.loads(r.stdout)
     assert "(bot (one))" in payload["derivations"]
+
+
+def test_cli_oracle_enumerate_ignores_hash_seed():
+    # the analytic cut formulas come from a set; the listing must not follow its order
+    cmd = [sys.executable, "-m", "proofdiag.cli", "oracle", "enumerate", "a,(a^*b),b^", "--max-rules", "5"]
+    outs = []
+    for hash_seed in ("0", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+        r = subprocess.run(cmd, capture_output=True, text=True, env=env)
+        assert r.returncode == 0, r.stderr
+        outs.append(r.stdout)
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize(
