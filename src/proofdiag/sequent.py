@@ -688,7 +688,8 @@ def enumerate_derivations(s: Sequent, max_rules: int) -> list[Derivation]:
     subs = set()
     for f in s:
         subs |= subformulas(f)
-    subs |= {negate(f) for f in set(subs)}
+    # a fixed order, so the listing does not follow the hash seed
+    cut_formulas = sorted(subs | {negate(f) for f in subs}, key=show)
 
     def go(goal: Sequent, budget: int, allow_exchange: bool) -> list[Derivation]:
         if budget <= 0:
@@ -713,7 +714,7 @@ def enumerate_derivations(s: Sequent, max_rules: int) -> list[Derivation]:
                         out.append(tensor(p1, p2))
         # analytic cuts
         if budget >= 3:
-            for a in sorted(subs, key=show):
+            for a in cut_formulas:
                 for k in range(len(goal) + 1):
                     left, right = goal[:k], goal[k:]
                     for p1 in go(left + (a,), budget - 2, True):
