@@ -2,8 +2,12 @@
 
 The controlled signature brackets every sequent region between L and R
 wires, so whether a diagram is a proof is read off its boundary in linear
-time. Sequentialization peels bottommost gates; at a tensor or cut the
-diagram splits into two closed branches.
+time. Sequentialization recovers the derivation in one pass over the
+canonical form's gates: it peels the lowest, rightmost gate that is not an
+axiom or a one, and at a tensor or cut splits the rest into two closed
+branches by the wires each half of the boundary reaches. No diagram is
+rebuilt on the way, so the cost grows linearly with the gate count at a
+fixed boundary width.
 """
 from proofdiag.formula import atom, negate
 from proofdiag.diagramio import derivation_text, diagram_text

@@ -11,13 +11,27 @@ L, Gamma, R with Gamma control-free.  Only boundary labels are inspected;
 the work is proportional to the boundary length and independent of the gate
 count (a comparison counter is exposed for the benchmark).
 
-``sequentialize`` recovers a derivation by peeling bottommost gates; at a
-tensor or cut the diagram above splits into two parallel closed branches.
-Diagrams containing B-gates are first driven through the untangle relations
-(a ~-preserving preprocessing) until B-free.
+``sequentialize`` recovers a derivation in one pass over the ``OpSeq`` of
+the canonical form, keeping the branches still to peel on a stack.  Each
+step peels the first op of its branch by ``(-layer, -column)``, ties in
+firing order, that is not an ``ax``/``one`` leaf.  No remaining op consumes
+it, and only leaves come before it, so peeling it can move nothing but
+leaves and the order needs no new canonical form.  The branch's final word
+is edited in place: a twist's outputs become its inputs, a par's output its
+two inputs, a bot's output goes.  At a tensor or cut the gate's inputs
+(A, R, L, B) return to the word and the branch splits after the R: the ops
+that the wires of each half reach go to that side, an op reached from both
+is a ``MalformedBranch``, and only the smaller side is walked to its end.
+With n gates and final words of length at most w, a peel costs O(w) and the
+splits O(n log n) in all, so the pass is O(n (w + log n)).  Diagrams
+containing B-gates are first driven through the untangle relations (a
+~-preserving preprocessing) until B-free.  ``tests/seq_model.py`` keeps the
+earlier recursive version, which re-canonicalized after every peel, as the
+differential model.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
@@ -186,68 +200,6 @@ def boundary_sequent(phi: Diagram) -> Sequent:
 # Sequentialization
 
 
-def _remove_bottom_op(phi: Diagram, idx: int) -> Diagram:
-    """Drop an op whose outputs are all final; positions after it adjust."""
-    seq = OpSeq.of(phi)
-    victim = seq.ops[idx]
-    delta = len(victim.in_tokens) - len(victim.out_tokens)
-    out = OpSeq(phi.input)
-    for i, op in enumerate(seq.ops):
-        if i == idx:
-            continue
-        pos = op.pos
-        if i > idx and op.pos >= victim.pos + len(victim.out_tokens):
-            pos += delta
-        out.fire_at(op.gate, pos)
-    return interchange_canonical_form(out.to_diagram())
-
-
-def _bottom_ops(phi: Diagram) -> list[int]:
-    """Ops none of whose outputs are consumed, rightmost-last-layer first."""
-    seq = OpSeq.of(phi)
-    out = []
-    for i, op in enumerate(seq.ops):
-        if all(t not in seq.consumer for t in op.out_tokens):
-            out.append(i)
-    layout = [(li, col) for li, col, _ in phi.gates()]
-    out.sort(key=lambda i: (-layout[i][0], -layout[i][1]))
-    return out
-
-
-def _split_parallel(phi: Diagram, cols: int) -> tuple[Diagram, Diagram]:
-    """Split a closed diagram as phi_l * phi_r at the given output column."""
-    seq = OpSeq.of(phi)
-    side: dict = {}
-    for pos, tok in enumerate(seq.word):
-        side[tok] = 0 if pos < cols else 1
-    changed = True
-    while changed:
-        changed = False
-        for op in seq.ops:
-            toks = list(op.in_tokens) + list(op.out_tokens)
-            known = {side[t] for t in toks if t in side}
-            if len(known) > 1:
-                raise MalformedBranch("branches share a wire")
-            if known:
-                s = known.pop()
-                for t in toks:
-                    if t not in side:
-                        side[t] = s
-                        changed = True
-    parts = []
-    for s in (0, 1):
-        sub = OpSeq(())
-        word: list = []  # live tokens of this side, in order
-        full = list(seq.in_tokens)
-        for op in seq.ops:
-            if side.get(op.in_tokens[0] if op.in_tokens else op.out_tokens[0]) == s:
-                before = [t for t in full[: op.pos] if side.get(t) == s]
-                sub.fire_at(op.gate, len(before))
-            full[op.pos : op.pos + len(op.in_tokens)] = list(op.out_tokens)
-        parts.append(interchange_canonical_form(sub.to_diagram()))
-    return parts[0], parts[1]
-
-
 def _strip_big(phi: Diagram) -> Diagram:
     """Drive out any B-gates (untangle steps preserve ~)."""
     if not gate_count(phi, ("big",)):
@@ -271,45 +223,155 @@ def sequentialize(phi: Diagram) -> Derivation:
     return d
 
 
+_PEELABLE = (TwistGate, ParGate, BotGate, TensorGate, CutGate)
+_UNPEEL = {  # the rule a unary peel undoes, given the sequent length and the column
+    TwistGate: lambda d, n, col: exchange(d, Permutation.transposition(n, col)),
+    ParGate: lambda d, n, col: par(d, col),
+    BotGate: lambda d, n, col: exchange(bot(d), _move_from_end(n, col)),
+}
+
+
 def _seq(phi: Diagram) -> Derivation:
+    """Peel the ops of one ``OpSeq`` of ``phi`` (canonical, empty input),
+    keeping the branches still to peel on an explicit stack."""
     seq = OpSeq.of(phi)
-    nops = len(seq.ops)
-    if nops == 0:
-        raise NotSequentializable("no gates")
-    if nops == 1:
-        g = seq.ops[0].gate
-        if isinstance(g, AxGate):
-            return ax(g.formula)
-        if isinstance(g, OneGate):
-            return one()
-        raise NotSequentializable(f"single gate {g} is not a proof diagram")
-    gamma_n = len(phi.output) - 2
-    for idx in _bottom_ops(phi):
-        op = seq.ops[idx]
-        g = op.gate
-        if isinstance(g, TwistGate):
-            col = seq.word.index(op.out_tokens[0])
-            rest = _remove_bottom_op(phi, idx)
-            d = _seq(rest)
-            return exchange(d, Permutation.transposition(gamma_n, col))
-        if isinstance(g, ParGate):
-            col = seq.word.index(op.out_tokens[0])
-            rest = _remove_bottom_op(phi, idx)
-            d = _seq(rest)
-            return par(d, col)
-        if isinstance(g, BotGate):
-            col = seq.word.index(op.out_tokens[0])
-            rest = _remove_bottom_op(phi, idx)
-            d = _seq(rest)
-            return exchange(bot(d), _move_from_end(gamma_n, col))
-        if isinstance(g, (TensorGate, CutGate)):
-            rest = _remove_bottom_op(phi, idx)
-            # the gate consumed (A, R, L, B) at op.pos; in `rest` those
-            # columns are final again, so the left branch ends after the R
-            phi_l, phi_r = _split_parallel(rest, op.pos + 2)
-            d1, d2 = _seq(phi_l), _seq(phi_r)
-            return tensor(d1, d2) if isinstance(g, TensorGate) else cut(d1, d2)
-    raise NotSequentializable("no peelable bottom gate")
+    ops = seq.ops
+    peel_key = [(-li, -col, o) for o, (li, col, _) in enumerate(phi.gates())]
+    place = _planar_order(seq)
+    owner = [0] * len(ops)  # the label of the op's branch, -1 once peeled
+    nodes: list = [None]  # per branch: (its unary peels in order, its leaf or split)
+    order = sorted(range(len(ops)), key=peel_key.__getitem__)
+    # (label, node, ops in peel order, scan start, live ops, final word); left branch on top
+    stack = [(0, 0, order, 0, len(ops), list(seq.word))]
+    first = True  # the first split walks both sides, to drop ops no boundary wire reaches
+    while stack:
+        label, node, members, i, alive, word = stack.pop()
+        peels = []
+        while alive > 1:
+            while i < len(members) and (
+                owner[members[i]] != label or not isinstance(ops[members[i]].gate, _PEELABLE)
+            ):
+                i += 1
+            if i == len(members):
+                raise NotSequentializable("no peelable bottom gate")
+            o = members[i]
+            op, g, n = ops[o], ops[o].gate, len(word) - 2
+            owner[o] = -1
+            alive -= 1
+            if op.out_tokens:
+                col = word.index(op.out_tokens[0])
+            else:  # a cut: its inputs return at their planar place
+                col = bisect_left(word, place[op.in_tokens[0]], key=place.__getitem__)
+            if isinstance(g, TwistGate):
+                word[col] = op.in_tokens[0]
+                word[word.index(op.out_tokens[1])] = op.in_tokens[1]
+            else:
+                word[col : col + len(op.out_tokens)] = op.in_tokens
+            if not isinstance(g, (TensorGate, CutGate)):
+                peels.append((type(g), n, col))
+                continue
+            # the inputs (A, R, L, B) sit at col: the left branch ends after the R
+            halves = (word[: col + 2], word[col + 2 :])
+            sides = _split(seq, owner, label, halves, first)
+            first = False
+            kids = (len(nodes), len(nodes) + 1)
+            nodes += [None, None]
+            nodes[node] = (peels, (type(g), *kids))
+            for s in (1, 0):
+                if sides[s] is None:  # not walked: the rest of this branch
+                    stack.append((label, kids[s], members, i, alive - len(sides[1 - s]), halves[s]))
+                else:
+                    for o in sides[s]:
+                        owner[o] = kids[s]
+                    found = sorted(sides[s], key=peel_key.__getitem__)
+                    stack.append((kids[s], kids[s], found, 0, len(found), halves[s]))
+            break
+        else:
+            if alive == 0:
+                raise NotSequentializable("no gates")
+            g = ops[next(o for o in members if owner[o] == label)].gate
+            if isinstance(g, AxGate):
+                nodes[node] = (peels, ax(g.formula))
+            elif isinstance(g, OneGate):
+                nodes[node] = (peels, one())
+            else:
+                raise NotSequentializable(f"single gate {g} is not a proof diagram")
+    done: list = [None] * len(nodes)
+    for k in range(len(nodes) - 1, -1, -1):  # a split's branches come after it
+        peels, end = nodes[k]
+        if isinstance(end, Derivation):
+            d = end
+        else:
+            d = (tensor if end[0] is TensorGate else cut)(done[end[1]], done[end[2]])
+        for kind, n, col in reversed(peels):
+            d = _UNPEEL[kind](d, n, col)
+        done[k] = d
+    return done[0]
+
+
+def _planar_order(seq: OpSeq) -> dict:
+    """A left-to-right place for every token of an empty-input ``OpSeq``,
+    which every live word respects: a gate's outputs go right after its
+    last input, a nullary gate's right after its left neighbour."""
+    after: dict = {}  # token -> the next token; the key None is the head
+    live: list = []
+    for op in seq.ops:
+        k = len(op.in_tokens)
+        at = op.in_tokens[-1] if k else (live[op.pos - 1] if op.pos else None)
+        tail = after.get(at)
+        for t in op.out_tokens:
+            after[at] = t
+            at = t
+        after[at] = tail
+        live[op.pos : op.pos + k] = op.out_tokens
+    place: dict = {}
+    t = after.get(None)
+    while t is not None:
+        place[t] = len(place)
+        t = after.get(t)
+    return place
+
+
+def _split(seq: OpSeq, owner: list, label: int, halves: tuple, full: bool) -> list:
+    """The ops of branch ``label`` whose wires reach each half of its word.
+
+    The two sides are walked in turns, and an op reached from both raises
+    ``MalformedBranch``.  Unless ``full``, the walk stops when one side is
+    exhausted, and the other side's entry is None: it is the rest of the
+    branch.  With ``full`` both are walked to the end, and an op that neither
+    reaches belongs to neither.
+    """
+    tok_side: dict = {}
+    op_side: dict = {}
+    found: list = [[], []]
+
+    def reach(o, s):
+        if o is None or owner[o] != label:
+            return
+        if o not in op_side:
+            op_side[o] = s
+            found[s].append(o)
+        elif op_side[o] != s:
+            raise MalformedBranch("branches share a wire")
+
+    for s, part in enumerate(halves):
+        for t in part:
+            tok_side[t] = s
+            reach(seq.producer[t], s)
+    walked = [0, 0]
+    while True:
+        for s in (0, 1):
+            if walked[s] < len(found[s]):
+                op = seq.ops[found[s][walked[s]]]
+                walked[s] += 1
+                for t in op.in_tokens + op.out_tokens:
+                    if tok_side.setdefault(t, s) != s:
+                        raise MalformedBranch("branches share a wire")
+                    reach(seq.producer[t], s)
+                    reach(seq.consumer.get(t), s)
+        ended = [walked[s] == len(found[s]) for s in (0, 1)]
+        if all(ended) or (any(ended) and not full):
+            return [f if e else None for f, e in zip(found, ended)]
 
 
 # ---------------------------------------------------------------------------

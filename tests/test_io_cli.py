@@ -12,6 +12,7 @@ from proofdiag.diagram import (
     GATE_TYPES,
     AxGate,
     BigGate,
+    Diagram,
     DiagramError,
     interchange_canonical_form as canon,
     parallel,
@@ -27,8 +28,9 @@ from proofdiag.diagramio import (
 )
 from proofdiag.perm import Permutation
 from proofdiag.render import render_svg, render_tikz
-from proofdiag.sequent import ax, bot, cut, exchange, one, par, tensor
-from proofdiag.translate import represent, to_proof_structure
+from proofdiag.sequent import ax, bot, cut, exchange, one, par, sequent_str, tensor
+from proofdiag.translate import boundary_sequent, represent, to_proof_structure
+from test_sequentialize import _tower_layers
 
 a, b = atom("a"), atom("b")
 
@@ -236,6 +238,19 @@ def test_cli_seq_on_axiom(tmp_path):
     r = _cli("seq", str(diag))
     assert r.returncode == 0
     assert "(ax a)" in r.stdout
+
+
+def test_cli_seq_on_a_1000_gate_tower(tmp_path):
+    phi = Diagram((), _tower_layers(1000))
+    path = tmp_path / "tower.diag"
+    path.write_text(diagram_text(phi))
+    conclusion = sequent_str(boundary_sequent(phi))
+    r = _cli("seq", str(path))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.rstrip().endswith(f"|- {conclusion}")
+    r = _cli("seq", str(path), "--json")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["conclusion"] == conclusion
 
 
 def test_cli_equiv_paired_tensors_sim_mode(tmp_path):

@@ -1,10 +1,11 @@
-"""Sequentialization against its differential model and its error paths.
+"""Sequentialization against its differential model, its error paths and its growth.
 
 ``seq_model.model_sequentialize`` is the recursive peel-and-recanonicalize
 sequentializer; ``translate.sequentialize`` must give an equal derivation, or
 raise an exception of the same type, on every input below.
 """
 import random
+import time
 
 import pytest
 
@@ -235,3 +236,18 @@ def test_model_agrees_on_which_mixed_diagrams_sequentialize():
         else:
             assert got == want, phi
     assert failed >= 50
+
+
+def test_sequentialize_grows_linearly_on_towers():
+    times = {}
+    for height in (1000, 2000):
+        layers = _tower_layers(height)
+        runs = []
+        for _ in range(3):
+            phi = Diagram((), layers)  # unflagged: each run pays for the canonical form too
+            t0 = time.perf_counter()
+            d = sequentialize(phi)
+            runs.append(time.perf_counter() - t0)
+            assert d.conclusion == boundary_sequent(phi)
+        times[height] = min(runs)
+    assert times[2000] <= 3 * times[1000], times
