@@ -144,8 +144,8 @@ def test_model_agrees_on_sem_normal_forms():
 # Error paths.  In a diagram of controlled gates whose boundary passes
 # is_sequentializable, none of these is reachable: the boundary's L and R
 # belong to a chain of ax/one leaves joined by tensors and cuts, so every
-# branch is connected, has exactly one unconsumed ax/one leaf when it is
-# that leaf alone, and splits cleanly after its gate's R.  An uncontrolled
+# branch is connected, has an unconsumed ax/one leaf only when it is that
+# leaf alone, and splits cleanly after its gate's R.  An uncontrolled
 # gate inside a controlled diagram, which no diagram file can express,
 # reaches the first two; the third is unreachable through sequentialize.
 
