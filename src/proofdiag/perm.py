@@ -70,6 +70,13 @@ class Permutation:
         images[k - 1], images[k] = images[k], images[k - 1]
         return Permutation(tuple(images))
 
+    @staticmethod
+    def move(n: int, i: int, j: int) -> "Permutation":
+        """Position i goes to j in S_n; the positions between shift one place."""
+        order = [k for k in range(1, n + 1) if k != i]
+        order.insert(j - 1, i)
+        return Permutation(tuple(order)).inverse()
+
     def compose(self, other: "Permutation") -> "Permutation":
         """self after other: (self.compose(other))(i) = self(other(i))."""
         if len(self) != len(other):

@@ -263,36 +263,6 @@ def _rebuild(d: Derivation) -> Derivation:
 # ---------------------------------------------------------------------------
 # Standard equivalence: one-step neighbors
 
-def _move_to_end(n: int, i: int) -> Permutation:
-    """Send position i to n, shifting the tail left."""
-    images = []
-    for k in range(1, n + 1):
-        if k < i:
-            images.append(k)
-        elif k == i:
-            images.append(n)
-        else:
-            images.append(k - 1)
-    return Permutation(tuple(images))
-
-
-def _move_from_end(n: int, i: int) -> Permutation:
-    return _move_to_end(n, i).inverse()
-
-
-def _move_to_front(n: int, i: int) -> Permutation:
-    """Send position i to 1, shifting the head right."""
-    images = []
-    for k in range(1, n + 1):
-        if k < i:
-            images.append(k + 1)
-        elif k == i:
-            images.append(1)
-        else:
-            images.append(k)
-    return Permutation(tuple(images))
-
-
 def _local_neighbors(d: Derivation) -> Iterator[Derivation]:
     """Root-level permutations; sim_neighbors maps these over all subtrees."""
     r = d.rule
@@ -481,11 +451,11 @@ def _local_neighbors(d: Derivation) -> Iterator[Derivation]:
                 # bring the outer active to the end of l1, do the outer rule
                 # first, then redo the inner rule, then restore the order
                 m = len(l1.conclusion)
-                move = _move_to_end(m, src)
+                move = Permutation.move(m, src, m)
                 l1x = exchange(l1, move)
                 inner = mk2(l1x, y)
                 k = len(inner.conclusion)
-                inner_x = exchange(inner, _move_to_end(k, m - 1))
+                inner_x = exchange(inner, Permutation.move(k, m - 1, k))
                 node = mk1(inner_x, r1)
                 if node.conclusion != d.conclusion:
                     fix = _match_perm(node.conclusion, d.conclusion)
@@ -626,10 +596,10 @@ def cut_step(d: Derivation, path: tuple) -> Derivation:
             d1, d2 = lcore.premises
             w = rcore.premises[0]
             n2 = len(d2.conclusion)
-            d2x = exchange(d2, _move_to_end(n2, 1)) if n2 > 1 else d2
+            d2x = exchange(d2, Permutation.move(n2, 1, n2)) if n2 > 1 else d2
             inner = cut(d2x, w)
             if n2 > 1:
-                inner = exchange(inner, _move_to_front(len(inner.conclusion), n2))
+                inner = exchange(inner, Permutation.move(len(inner.conclusion), n2, 1))
             repl = cut(d1, inner)
     if repl is None and isinstance(a, Par):
         left_ok = (

@@ -71,7 +71,6 @@ from .sequent import (
     ParR,
     Sequent,
     TensorR,
-    _move_from_end,
     ax,
     bot,
     cut,
@@ -227,7 +226,7 @@ _PEELABLE = (TwistGate, ParGate, BotGate, TensorGate, CutGate)
 _UNPEEL = {  # the rule a unary peel undoes, given the sequent length and the column
     TwistGate: lambda d, n, col: exchange(d, Permutation.transposition(n, col)),
     ParGate: lambda d, n, col: par(d, col),
-    BotGate: lambda d, n, col: exchange(bot(d), _move_from_end(n, col)),
+    BotGate: lambda d, n, col: exchange(bot(d), Permutation.move(n, n, col)),
 }
 
 

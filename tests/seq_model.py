@@ -23,7 +23,7 @@ from proofdiag.diagram import (
     interchange_canonical_form,
 )
 from proofdiag.perm import Permutation
-from proofdiag.sequent import Derivation, _move_from_end, ax, bot, cut, exchange, one, par, tensor
+from proofdiag.sequent import Derivation, ax, bot, cut, exchange, one, par, tensor
 from proofdiag.translate import (
     MalformedBranch,
     NotSequentializable,
@@ -136,7 +136,7 @@ def _seq(phi: Diagram) -> Derivation:
             col = seq.word.index(op.out_tokens[0])
             rest = _remove_bottom_op(phi, idx)
             d = _seq(rest)
-            return exchange(bot(d), _move_from_end(gamma_n, col))
+            return exchange(bot(d), Permutation.move(gamma_n, gamma_n, col))
         if isinstance(g, (TensorGate, CutGate)):
             rest = _remove_bottom_op(phi, idx)
             # the gate consumed (A, R, L, B) at op.pos; in `rest` those

@@ -81,3 +81,18 @@ def test_one_line_notation_round_trip():
     assert str(p) == "[2,3,1]"
     assert Permutation.parse("[2,3,1]") == p
     assert Permutation.parse("[]") == Permutation(())
+
+
+def test_move_sends_one_position_and_shifts_the_rest():
+    for n in range(1, 9):
+        for i in range(1, n + 1):
+            # to the end: the tail shifts left; from the end: the tail shifts right
+            to_end = tuple(n if k == i else k - (k > i) for k in range(1, n + 1))
+            assert Permutation.move(n, i, n).images == to_end
+            assert Permutation.move(n, n, i) == Permutation(to_end).inverse()
+            # to the front: the head shifts right
+            to_front = tuple(1 if k == i else k + (k < i) for k in range(1, n + 1))
+            assert Permutation.move(n, i, 1).images == to_front
+            for j in range(1, n + 1):
+                s = Permutation.move(n, i, j)
+                assert s(i) == j and s.inverse() == Permutation.move(n, j, i)
