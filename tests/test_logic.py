@@ -96,6 +96,16 @@ def test_sim_neighbors_symmetric_on_corpus(corpus):
     assert checked >= 30
 
 
+def test_sim_neighbors_pull_an_exchange_out_of_a_cut_right_premise():
+    s = Permutation((1, 3, 2))
+    d = cut(ax(a), exchange(tensor(ax(a), ax(b)), s))
+    ns = sim_neighbors(d)
+    assert exchange(cut(ax(a), tensor(ax(a), ax(b))), s) in ns
+    for n in ns:
+        assert n.conclusion == d.conclusion
+        assert d in sim_neighbors(n), derivation_str(n)
+
+
 def test_paired_tensor_example_are_neighbors():
     x = ax(a)
     d1 = exchange(tensor(exchange(tensor(x, one()), sw), one()), sw)
