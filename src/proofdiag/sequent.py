@@ -192,10 +192,17 @@ _PARAM_STR = {
 
 
 def derivation_str(d: Derivation) -> str:
-    """``(head params premises)``, with the rule's fields as its params."""
-    r = d.rule
-    params = [_PARAM_STR[f.type](getattr(r, f.name)) for f in fields(r)]
-    return f"({' '.join([r.head, *params, *map(derivation_str, d.premises)])})"
+    """``(head params premises)``, with the rule's fields as its params;
+    written from an explicit stack, so any depth prints."""
+    out, todo = [], [d]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, Derivation):
+            r = x.rule
+            todo += [")", *(s for p in reversed(x.premises) for s in (p, " "))]
+            x = f"({' '.join([r.head, *(_PARAM_STR[f.type](getattr(r, f.name)) for f in fields(r))])}"
+        out.append(x)
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

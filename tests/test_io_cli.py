@@ -253,6 +253,18 @@ def test_cli_seq_on_a_1000_gate_tower(tmp_path):
     assert json.loads(r.stdout)["conclusion"] == conclusion
 
 
+def test_cli_seq_prints_600_stacked_bots(tmp_path):
+    # one rule per bot: printing the derivation must not recurse per rule
+    path = tmp_path / "bots.diag"
+    path.write_text(
+        "proofdiag-diagram v1\nsignature: controlled\ninput: -\nlayer: gate one\n"
+        "layer: id L; id 1; " + "gate bot; " * 600 + "id R\n"
+    )
+    r = _cli("seq", str(path))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.rstrip().endswith("|- " + ", ".join(["1"] + ["_"] * 600))
+
+
 def test_cli_equiv_paired_tensors_sim_mode(tmp_path):
     d1 = tmp_path / "d1.txt"
     d2 = tmp_path / "d2.txt"
