@@ -24,11 +24,22 @@ only reads the conclusion.  Printing (``derivation_str``) and parsing (in
 same fields.
 
 ``sim_neighbors`` generates the one-step standard equivalence: permutations
-of inference rules with disjoint active formulas, including the exchange
-bookkeeping moves that rigid rule formats require.
+of rules with disjoint active formulas, with the exchange bookkeeping that
+rigid formats require.  Each tag's ``origin(lens)`` gives, for the premises'
+lengths, the ``(premise, position)`` each conclusion formula is copied from,
+or None for a principal one; the positions it does not copy are the active
+ones.  ``reindex(f)`` moves the position parameter (only par has one).  At a
+node, in the order the derivation digest pins: an exchange is pushed into
+the one premise of the rule above whose formulas it moves, then come the
+hand-written cases; any other rule first has each premise's exchange pulled
+below it, left to right, then is swapped with a unary premise rule, right to
+left, and a binary one, left to right, when its active formulas there all
+come from one premise of that rule; then come the hand-written cases (axiom
+orientation, stacked bots and the branch reorder of shape (c)).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field, fields
 from typing import ClassVar, Iterator, Optional
@@ -62,6 +73,15 @@ class RuleTag:
     def conclude(self, ps: tuple) -> Sequent:
         raise NotImplementedError
 
+    def origin(self, lens: tuple) -> tuple:
+        """For each conclusion formula, given the premises' lengths, the
+        ``(premise, position)`` it is copied from, or None for a principal one."""
+        raise NotImplementedError
+
+    def reindex(self, f) -> RuleTag:
+        """The rule with its position parameter moved by f; only par has one."""
+        return self
+
     def build(self, premises: tuple) -> Derivation:
         """The derivation of this rule over premises, as the constructors build it."""
         return Derivation(self, premises)
@@ -76,6 +96,9 @@ class AxR(RuleTag):
     def conclude(self, ps: tuple) -> Sequent:
         return (self.formula, negate(self.formula))
 
+    def origin(self, lens: tuple) -> tuple:
+        return (None, None)
+
 
 @dataclass(frozen=True)
 class OneR(RuleTag):
@@ -85,6 +108,9 @@ class OneR(RuleTag):
     def conclude(self, ps: tuple) -> Sequent:
         return (ONE,)
 
+    def origin(self, lens: tuple) -> tuple:
+        return (None,)
+
 
 @dataclass(frozen=True)
 class BotR(RuleTag):
@@ -93,6 +119,9 @@ class BotR(RuleTag):
 
     def conclude(self, ps: tuple) -> Sequent:
         return ps[0] + (BOT,)
+
+    def origin(self, lens: tuple) -> tuple:
+        return _copied(0, range(1, lens[0] + 1)) + (None,)
 
 
 @dataclass(frozen=True)
@@ -108,6 +137,13 @@ class ParR(RuleTag):
             raise InvalidRule(f"par position {p} out of range")
         return g[: p - 1] + (Par(g[p - 1], g[p]),) + g[p + 1 :]
 
+    def origin(self, lens: tuple) -> tuple:
+        p = self.pos
+        return _copied(0, range(1, p)) + (None,) + _copied(0, range(p + 2, lens[0] + 1))
+
+    def reindex(self, f) -> RuleTag:
+        return ParR(f(self.pos))
+
 
 @dataclass(frozen=True)
 class TensorR(RuleTag):
@@ -119,6 +155,9 @@ class TensorR(RuleTag):
         if not g1 or not g2:
             raise InvalidRule("tensor premises must be nonempty")
         return g1[:-1] + (Tensor(g1[-1], g2[0]),) + g2[1:]
+
+    def origin(self, lens: tuple) -> tuple:
+        return _copied(0, range(1, lens[0])) + (None,) + _copied(1, range(2, lens[1] + 1))
 
 
 @dataclass(frozen=True)
@@ -134,6 +173,9 @@ class CutR(RuleTag):
             raise InvalidRule(f"cut mismatch: {show(g1[-1])} against {show(g2[0])}")
         return g1[:-1] + g2[1:]
 
+    def origin(self, lens: tuple) -> tuple:
+        return _copied(0, range(1, lens[0])) + _copied(1, range(2, lens[1] + 1))
+
 
 @dataclass(frozen=True)
 class ExchangeR(RuleTag):
@@ -147,6 +189,9 @@ class ExchangeR(RuleTag):
             raise InvalidRule("exchange size mismatch")
         return self.perm.apply(g)
 
+    def origin(self, lens: tuple) -> tuple:
+        return _copied(0, self.perm.inverse().images)
+
     def build(self, premises: tuple) -> Derivation:
         """Fused with an exchange just above it; an identity exchange is left out."""
         perm, (d,) = self.perm, premises
@@ -158,6 +203,10 @@ class ExchangeR(RuleTag):
 
 
 RULE_TAGS = {cls.head: cls for cls in RuleTag.__subclasses__()}
+
+
+def _copied(i: int, positions) -> tuple:
+    return tuple([(i, k) for k in positions])
 
 
 @dataclass(frozen=True)
@@ -254,12 +303,19 @@ def subderivations(d: Derivation, path: tuple = ()) -> Iterator[tuple[tuple, Der
 
 
 def replace_subderivation(d: Derivation, path: tuple, new: Derivation) -> Derivation:
+    return _replace(d, path, new, Derivation)
+
+
+def _replace(d: Derivation, path: tuple, new: Derivation, make) -> Derivation:
+    """d with new at path, each node on the path made again by make(rule, premises)."""
     if not path:
         return new
     i = path[0]
-    prem = list(d.premises)
-    prem[i] = replace_subderivation(prem[i], path[1:], new)
-    return Derivation(d.rule, tuple(prem))
+    return make(d.rule, d.premises[:i] + (_replace(d.premises[i], path[1:], new, make),) + d.premises[i + 1 :])
+
+
+def _build(rule: RuleTag, premises: tuple) -> Derivation:
+    return rule.build(premises)
 
 
 def _rebuild(d: Derivation) -> Derivation:
@@ -270,245 +326,144 @@ def _rebuild(d: Derivation) -> Derivation:
 # ---------------------------------------------------------------------------
 # Standard equivalence: one-step neighbors
 
+@functools.lru_cache(maxsize=4096)
+def _origin(rule: RuleTag, lens: tuple) -> tuple:
+    return rule.origin(lens)
+
+
+def _lens(ds: tuple) -> tuple:
+    return tuple(len(x.conclusion) for x in ds)
+
+
+def _actives(origin: tuple, j: int, n: int) -> list:
+    """Positions of premise j, of length n, that a rule with this origin map
+    does not copy to its conclusion."""
+    copied = {o[1] for o in origin if o and o[0] == j}
+    return [k for k in range(1, n + 1) if k not in copied]
+
+
+def _sources(name, rule: RuleTag, lens: tuple, j: int, sub) -> list:
+    """Labels of the conclusion's formulas: ``(name,)`` for a principal one,
+    ``(name, i, k)`` for one copied from position k of premise i, and sub's
+    labels for the formulas of premise j (-1 for none)."""
+    return [(name,) if o is None else sub[o[1] - 1] if o[0] == j else (name, *o) for o in _origin(rule, lens)]
+
+
+def _pull(d: Derivation, j: int) -> Iterator[Derivation]:
+    """The exchange over premise j moved below the root rule; above it stays
+    only the exchange that puts the root's active formulas in order."""
+    r, ps = d.rule, d.premises
+    (y,), back = ps[j].premises, ps[j].rule.perm.inverse()
+    lens = _lens(ps)
+    src = [back(a) for a in _actives(_origin(r, lens), j, lens[j])]
+    images = list(range(1, lens[j] + 1))
+    for a, b in zip(src, sorted(src)):
+        images[a - 1] = b
+    sort = Permutation(tuple(images))
+    r2 = r.reindex(lambda a: sort(back(a)))
+    if _actives(_origin(r2, lens), j, lens[j]) != sorted(src):
+        return
+    node = r2.build(ps[:j] + (exchange(y, sort),) + ps[j + 1 :])
+    old = _sources(0, r, lens, j, _sources(1, ps[j].rule, lens[j : j + 1], -1, ()))
+    at = {label: c for c, label in enumerate(old, 1)}
+    new = _sources(0, r2, lens, j, _sources(1, ExchangeR(sort), lens[j : j + 1], -1, ()))
+    yield exchange(node, Permutation(tuple(at[label] for label in new)))
+
+
+def _push(d: Derivation, k: int) -> Iterator[Derivation]:
+    """The root exchange moved into premise k of the rule above it, when
+    that premise's formulas, and a par's principal, are all that it moves."""
+    (x,), s = d.premises, d.rule.perm
+    lens = _lens(x.premises)
+    r2 = x.rule.reindex(s)
+    old = _sources(0, d.rule, (len(s),), 0, _sources(1, x.rule, lens, -1, ()))
+    images = dict(zip(_actives(_origin(x.rule, lens), k, lens[k]), _actives(_origin(r2, lens), k, lens[k])))
+    for a, b in zip(old, _sources(1, r2, lens, -1, ())):
+        if a != b:
+            if a[1:2] != (k,) or b[1:2] != (k,):
+                return
+            images[a[2]] = b[2]
+    t = Permutation(tuple(images.get(i, i) for i in range(1, lens[k] + 1)))
+    yield r2.build(x.premises[:k] + (exchange(x.premises[k], t),) + x.premises[k + 1 :])
+
+
+def _swap(d: Derivation, j: int) -> Iterator[Derivation]:
+    """The root rule moved into the premise of premise j's rule that all its
+    active formulas there come from, and that rule moved below it; both
+    rules keep their active formulas."""
+    r, ps = d.rule, d.premises
+    s, qs = ps[j].rule, ps[j].premises
+    lens, qlens = _lens(ps), _lens(qs)
+    # the hand-written cases left this out, though the inverse move exists:
+    # a par in a tensor's or cut's left premise, its principal just before
+    # that premise's active formula
+    if r.arity == 2 and j == 0 and isinstance(s, ParR) and s.pos == lens[0] - 1:
+        return
+    o = _origin(s, qlens)
+    act = _actives(_origin(r, lens), j, lens[j])
+    for k in range(s.arity):
+        if any(o[a - 1] is None or o[a - 1][0] != k for a in act):
+            continue
+        r2 = r.reindex(lambda a: o[a - 1][1])
+        inner = _origin(r2, lens[:j] + qlens[k : k + 1] + lens[j + 1 :])
+        if _actives(inner, j, qlens[k]) != [o[a - 1][1] for a in act]:
+            continue
+        at = {c[1]: i for i, c in enumerate(inner, 1) if c and c[0] == j}
+        s2 = s.reindex(at.__getitem__)
+        outer = _origin(s2, qlens[:k] + (len(inner),) + qlens[k + 1 :])
+        if _actives(outer, k, len(inner)) == [at[a] for a in _actives(o, k, qlens[k])]:
+            node = s2.build(qs[:k] + (r2.build(ps[:j] + (qs[k],) + ps[j + 1 :]),) + qs[k + 1 :])
+            if node != d:  # two stacked bots give d back
+                yield node
+
+
 def _local_neighbors(d: Derivation) -> Iterator[Derivation]:
-    """Root-level permutations; sim_neighbors maps these over all subtrees."""
-    r = d.rule
-
-    # --- exchange bookkeeping -------------------------------------------
+    """Root-level moves; sim_neighbors maps these over all subtrees."""
+    r, ps = d.rule, d.premises
     if isinstance(r, ExchangeR):
-        (x,) = d.premises
-        s = r.perm
-        n = len(s)
-        if isinstance(x.rule, BotR):
-            # push the exchange below the bot when it fixes the new formula
-            if s(n) == n:
-                inner = Permutation(tuple(s(i) for i in range(1, n)))
-                yield bot(exchange(x.premises[0], inner))
-            # inverse of the stacked-bot swap
-            if (
-                isinstance(x.premises[0].rule, BotR)
-                and s == Permutation.transposition(n, n - 1)
-            ):
-                yield x
-        if isinstance(x.rule, ParR):
-            p = x.rule.pos
-            # positions of the principal in the exchanged sequent
-            q = s(p)
-            inner_perm = _expand_after_par(s, p)
-            if inner_perm is not None:
-                yield par(exchange(x.premises[0], inner_perm), q)
-    if isinstance(r, BotR):
-        (x,) = d.premises
-        if isinstance(x.rule, ExchangeR):
-            n = len(x.conclusion)
-            lifted = Permutation(x.rule.perm.images + (n + 1,))
-            yield exchange(bot(x.premises[0]), lifted)
-    if isinstance(r, ParR):
-        (x,) = d.premises
-        if isinstance(x.rule, ExchangeR):
-            s = x.rule.perm
-            p = r.pos
-            i1, i2 = s.inverse()(p), s.inverse()(p + 1)
-            if abs(i1 - i2) == 1:
-                q = min(i1, i2)
-                y = x.premises[0]
-                flip = i1 > i2
-                pre = y
-                if flip:
-                    sw = Permutation.transposition(len(y.conclusion), q)
-                    pre = exchange(y, sw)
-                inner = par(pre, q)
-                outer = _contract_par_perm(s, p, q)
-                yield exchange(inner, outer)
-    if isinstance(r, (TensorR, CutR)):
-        x, y = d.premises
-        mk = tensor if isinstance(r, TensorR) else cut
-        if isinstance(x.rule, ExchangeR) and x.rule.perm(len(x.conclusion)) == len(x.conclusion):
-            s = x.rule.perm
-            node = mk(x.premises[0], y)
-            k = len(x.conclusion) - 1
-            outer = Permutation(
-                tuple(s(i) for i in range(1, k + 1))
-                + tuple(range(k + 1, len(node.conclusion) + 1))
-            )
-            yield exchange(node, outer)
-        if isinstance(y.rule, ExchangeR) and y.rule.perm(1) == 1:
-            s = y.rule.perm
-            node = mk(x, y.premises[0])
-            base = len(x.conclusion)
-            outer = Permutation(
-                tuple(range(1, base + 1))
-                + tuple(base + s(i) - 1 for i in range(2, len(s) + 1))
-            )
-            yield exchange(node, outer)
-    if isinstance(r, ExchangeR):
-        (x,) = d.premises
-        s = r.perm
-        if isinstance(x.rule, (TensorR, CutR)):
-            xl, xr = x.premises
-            mk = tensor if isinstance(x.rule, TensorR) else cut
-            k = len(xl.conclusion) - 1
-            n = len(s)
-            # push into the left context when s only permutes positions <= k
-            if all(s(i) == i for i in range(k + 1, n + 1)) and k >= 2:
-                inner = Permutation(tuple(s(i) for i in range(1, k + 1)) + (k + 1,))
-                yield mk(exchange(xl, inner), xr)
-            # push into the right context when s fixes the prefix
-            width = 1 if isinstance(x.rule, TensorR) else 0
-            base = k + width
-            if all(s(i) == i for i in range(1, base + 1)) and n - base >= 2:
-                inner = Permutation((1,) + tuple(s(base + i) - base + 1 for i in range(1, n - base + 1)))
-                yield mk(xl, exchange(xr, inner))
+        (x,) = ps
+        for k in range(0 if isinstance(x.rule, ExchangeR) else x.rule.arity):
+            yield from _push(d, k)
+        n = len(r.perm)
+        if isinstance(x.rule, BotR) and isinstance(x.premises[0].rule, BotR) and r.perm == Permutation.transposition(n, n - 1):
+            yield x  # inverse of the stacked-bot swap
+        if isinstance(x.rule, AxR):
+            yield ax(negate(x.rule.formula))
+        return
+    pulls = [isinstance(p.rule, ExchangeR) for p in ps]
+    for j in range(len(ps)):
+        if pulls[j]:
+            yield from _pull(d, j)
+    for j in reversed(range(len(ps))):
+        if ps[j].rule.arity == 1 and not pulls[j]:
+            yield from _swap(d, j)
+    for j in range(len(ps)):
+        if ps[j].rule.arity == 2:
+            yield from _swap(d, j)
 
-    # --- axiom orientation (exchange bookkeeping) -------------------------
+    # --- hand-written: axiom orientation, stacked bots, branch reorder ------
     if isinstance(r, AxR):
         yield exchange(ax(negate(r.formula)), Permutation((2, 1)))
-    if isinstance(r, ExchangeR) and isinstance(d.premises[0].rule, AxR):
-        if len(r.perm) == 2:
-            yield ax(negate(d.premises[0].rule.formula))
-
-    # --- unary / unary ---------------------------------------------------
-    if isinstance(r, BotR):
-        (x,) = d.premises
-        if isinstance(x.rule, ParR):
-            yield par(bot(x.premises[0]), x.rule.pos)
-        if isinstance(x.rule, BotR):
-            # swapping two stacked bottom rules exchanges the two occurrences
-            n = len(d.conclusion)
-            yield exchange(d, Permutation.transposition(n, n - 1))
-    if isinstance(r, ParR):
-        (x,) = d.premises
-        p = r.pos
-        if isinstance(x.rule, BotR) and p + 1 <= len(x.conclusion) - 1:
-            yield bot(par(x.premises[0], p))
-        if isinstance(x.rule, ParR):
-            q = x.rule.pos
-            if q > p + 1:
-                yield par(par(x.premises[0], p), q - 1)
-            elif q < p:
-                yield par(par(x.premises[0], p + 1), q)
-
-    # --- binary / unary --------------------------------------------------
-    if isinstance(r, BotR):
-        (x,) = d.premises
-        if isinstance(x.rule, (TensorR, CutR)):
-            l, rr = x.premises
-            node = tensor(l, bot(rr)) if isinstance(x.rule, TensorR) else cut(l, bot(rr))
-            yield node
-    if isinstance(r, ParR):
-        (x,) = d.premises
-        p = r.pos
-        if isinstance(x.rule, (TensorR, CutR)):
-            l, rr = x.premises
-            is_t = isinstance(x.rule, TensorR)
-            width = 1 if is_t else 0
-            nl = len(l.conclusion)
-            if p + 1 < nl:  # actives entirely inside the left context
-                l2 = par(l, p)
-                yield tensor(l2, rr) if is_t else cut(l2, rr)
-            if p > nl - 1 + width:  # actives entirely inside the right context
-                q = p - (nl - 1 + width) + 1
-                r2 = par(rr, q)
-                yield tensor(l, r2) if is_t else cut(l, r2)
-    if isinstance(r, (TensorR, CutR)):
-        l, rr = d.premises
-        is_t = isinstance(r, TensorR)
-        mk = tensor if is_t else cut
-        if isinstance(rr.rule, BotR) and len(rr.conclusion) >= 2:
-            yield bot(mk(l, rr.premises[0]))
-        if isinstance(rr.rule, ParR) and rr.rule.pos >= 2:
-            q = rr.rule.pos
-            node = mk(l, rr.premises[0])
-            width = 1 if is_t else 0
-            yield par(node, q + len(l.conclusion) - 1 + width - 1)
-        if isinstance(l.rule, ParR) and l.rule.pos + 1 <= len(l.conclusion) - 1:
-            q = l.rule.pos
-            yield par(mk(l.premises[0], rr), q)
-
-    # --- binary / binary -------------------------------------------------
-    if isinstance(r, (TensorR, CutR)):
-        x, y = d.premises
-        mk2 = tensor if isinstance(r, TensorR) else cut
-        # shape (a): inner binary in the left premise, outer active from its
-        # right sub-branch
-        if isinstance(x.rule, (TensorR, CutR)):
-            l1, r1 = x.premises
-            if len(r1.conclusion) >= 2:
-                mk1 = tensor if isinstance(x.rule, TensorR) else cut
-                inner = mk2(r1, y)
-                yield mk1(l1, inner)
-        # shape (a) inverse: inner binary in the right premise, its left
-        # active from that premise's left region
-        if isinstance(y.rule, (TensorR, CutR)):
-            l2, r2 = y.premises
-            if len(l2.conclusion) >= 2:
-                mk1 = tensor if isinstance(y.rule, TensorR) else cut
-                inner = mk2(x, l2)
-                yield mk1(inner, r2)
-        # shape (c): branch reorder through an exchange that fetched the
-        # outer active from the inner left region
-        if isinstance(x.rule, ExchangeR) and isinstance(x.premises[0].rule, (TensorR, CutR)):
-            q = x.premises[0]
-            s = x.rule.perm
-            src = s.inverse()(len(x.conclusion))
-            l1, r1 = q.premises
-            nl1 = len(l1.conclusion)
-            if src <= nl1 - 1 and len(l1.conclusion) >= 2:
-                mk1 = tensor if isinstance(q.rule, TensorR) else cut
-                # bring the outer active to the end of l1, do the outer rule
-                # first, then redo the inner rule, then restore the order
-                m = len(l1.conclusion)
-                move = Permutation.move(m, src, m)
-                l1x = exchange(l1, move)
-                inner = mk2(l1x, y)
-                k = len(inner.conclusion)
-                inner_x = exchange(inner, Permutation.move(k, m - 1, k))
-                node = mk1(inner_x, r1)
-                if node.conclusion != d.conclusion:
-                    fix = _match_perm(node.conclusion, d.conclusion)
-                    if fix is not None:
-                        node = exchange(node, fix)
-                if node.conclusion == d.conclusion:
-                    yield node
-
-
-def _expand_after_par(s: Permutation, p: int) -> Optional[Permutation]:
-    """Lift an exchange over a par at p to the unfused sequent."""
-    n = len(s)
-    q = s(p)
-    images = []
-    for i in range(1, n + 2):
-        if i == p:
-            images.append(q)
-            continue
-        if i == p + 1:
-            images.append(q + 1)
-            continue
-        v = s(i) if i < p else s(i - 1)
-        images.append(v if v < q else v + 1)
-    try:
-        return Permutation(tuple(images))
-    except Exception:
-        return None
-
-
-def _contract_par_perm(s: Permutation, p: int, q: int) -> Permutation:
-    """Exchange acting below a par pulled above the exchange.
-
-    ``s`` acts on the unfused sequent of size n+1 with actives at premise
-    positions q, q+1 landing at p, p+1; the result acts on the fused size-n
-    sequent so that applying it after par-at-q reproduces par-at-p after s.
-    """
-    n = len(s) - 1
-    images = []
-    for u in range(1, n + 1):
-        if u == q:
-            images.append(p)
-            continue
-        v = u if u < q else u + 1
-        w = s(v)
-        images.append(w if w < p else w - 1)
-    return Permutation(tuple(images))
+    if isinstance(r, BotR) and isinstance(ps[0].rule, BotR):
+        # swapping two stacked bottom rules exchanges the two occurrences
+        n = len(d.conclusion)
+        yield exchange(d, Permutation.transposition(n, n - 1))
+    # shape (c): branch reorder through an exchange that fetched the outer
+    # active from the inner left region
+    if r.arity == 2 and isinstance(ps[0].rule, ExchangeR) and ps[0].premises[0].rule.arity == 2:
+        (x, y), (q,) = ps, ps[0].premises
+        src = x.rule.perm.inverse()(len(x.conclusion))
+        l1, r1 = q.premises
+        m = len(l1.conclusion)
+        if src <= m - 1:
+            # bring the outer active to the end of l1, do the outer rule
+            # first, then redo the inner rule, then restore the order
+            inner = r.build((exchange(l1, Permutation.move(m, src, m)), y))
+            k = len(inner.conclusion)
+            node = q.rule.build((exchange(inner, Permutation.move(k, m - 1, k)), r1))
+            fix = _match_perm(node.conclusion, d.conclusion)
+            if fix is not None:
+                yield exchange(node, fix)
 
 
 def _match_perm(src: Sequent, dst: Sequent) -> Optional[Permutation]:
@@ -533,11 +488,14 @@ def _match_perm(src: Sequent, dst: Sequent) -> Optional[Permutation]:
 
 def sim_neighbors(d: Derivation) -> list[Derivation]:
     """All derivations one standard-equivalence permutation away."""
+    # when d is as the constructors build it (only an exchange's build can
+    # differ from its node), a move needs building again only along its path
+    built = all(n.rule.build(n.premises) == n for _, n in subderivations(d) if isinstance(n.rule, ExchangeR))
     out = {}
     for path, node in subderivations(d):
         for cand in _local_neighbors(node):
             try:
-                nd = _rebuild(replace_subderivation(d, path, cand))
+                nd = _replace(d, path, cand, _build) if built else _rebuild(replace_subderivation(d, path, cand))
             except InvalidRule:
                 continue
             if nd.conclusion != d.conclusion or nd == d:
