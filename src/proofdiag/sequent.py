@@ -303,19 +303,17 @@ def subderivations(d: Derivation, path: tuple = ()) -> Iterator[tuple[tuple, Der
 
 
 def replace_subderivation(d: Derivation, path: tuple, new: Derivation) -> Derivation:
-    return _replace(d, path, new, Derivation)
+    return _replace(d, path, new, False)
 
 
-def _replace(d: Derivation, path: tuple, new: Derivation, make) -> Derivation:
-    """d with new at path, each node on the path made again by make(rule, premises)."""
+def _replace(d: Derivation, path: tuple, new: Derivation, fuse: bool) -> Derivation:
+    """d with new at path; with fuse, each node on the path is built again as
+    the constructors build it."""
     if not path:
         return new
-    i = path[0]
-    return make(d.rule, d.premises[:i] + (_replace(d.premises[i], path[1:], new, make),) + d.premises[i + 1 :])
-
-
-def _build(rule: RuleTag, premises: tuple) -> Derivation:
-    return rule.build(premises)
+    i, ps = path[0], d.premises
+    ps = ps[:i] + (_replace(ps[i], path[1:], new, fuse),) + ps[i + 1 :]
+    return d.rule.build(ps) if fuse else Derivation(d.rule, ps)
 
 
 def _rebuild(d: Derivation) -> Derivation:
@@ -422,11 +420,14 @@ def _local_neighbors(d: Derivation) -> Iterator[Derivation]:
     r, ps = d.rule, d.premises
     if isinstance(r, ExchangeR):
         (x,) = ps
+        # an exchange over an exchange (the constructors fuse the two) is no move
         for k in range(0 if isinstance(x.rule, ExchangeR) else x.rule.arity):
             yield from _push(d, k)
         n = len(r.perm)
-        if isinstance(x.rule, BotR) and isinstance(x.premises[0].rule, BotR) and r.perm == Permutation.transposition(n, n - 1):
-            yield x  # inverse of the stacked-bot swap
+        # inverse of the stacked-bot swap
+        if isinstance(x.rule, BotR) and isinstance(x.premises[0].rule, BotR):
+            if r.perm == Permutation.transposition(n, n - 1):
+                yield x
         if isinstance(x.rule, AxR):
             yield ax(negate(x.rule.formula))
         return
@@ -495,7 +496,7 @@ def sim_neighbors(d: Derivation) -> list[Derivation]:
     for path, node in subderivations(d):
         for cand in _local_neighbors(node):
             try:
-                nd = _replace(d, path, cand, _build) if built else _rebuild(replace_subderivation(d, path, cand))
+                nd = _replace(d, path, cand, True) if built else _rebuild(_replace(d, path, cand, False))
             except InvalidRule:
                 continue
             if nd.conclusion != d.conclusion or nd == d:
