@@ -5,11 +5,11 @@ generator.  On every input below ``sequent.sim_neighbors`` must return the
 model's list, order included: the derivation digest and the oracle
 workload's seeded pairs depend on the order.  The model raises
 ``InvalidRule`` on a cut whose right premise is an exchange that fixes the
-cut formula; there the neighbours must keep the conclusion, be symmetric and
-include the pull of that exchange.  The pull must have the input among its
-own neighbours, unless an exchange below the cut absorbs it.  Other
-neighbours need not: the model is not symmetric, see the asymmetry noted in
-``sequent._swap``.
+cut formula; there the neighbours must keep the conclusion and include the
+pull of that exchange, which must have the input among its own neighbours
+unless an exchange below the cut absorbs the pull.  Other neighbours need
+not: the model is not symmetric either (see the gap kept in
+``sequent._swap``).
 """
 import random
 
