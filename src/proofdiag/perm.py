@@ -73,6 +73,8 @@ class Permutation:
     @staticmethod
     def move(n: int, i: int, j: int) -> "Permutation":
         """Position i goes to j in S_n; the positions between shift one place."""
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise BadIndex(f"move {i} -> {j} out of range for n={n}")
         order = [k for k in range(1, n + 1) if k != i]
         order.insert(j - 1, i)
         return Permutation(tuple(order)).inverse()

@@ -96,3 +96,7 @@ def test_move_sends_one_position_and_shifts_the_rest():
             for j in range(1, n + 1):
                 s = Permutation.move(n, i, j)
                 assert s(i) == j and s.inverse() == Permutation.move(n, j, i)
+    # list.insert would clamp or wrap these instead of failing
+    for i, j in ((1, 0), (1, 4), (0, 1), (4, 1)):
+        with pytest.raises(BadIndex):
+            Permutation.move(3, i, j)
