@@ -39,7 +39,6 @@ orientation, stacked bots and the branch reorder of shape (c)).
 """
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field, fields
 from typing import ClassVar, Iterator, Optional
@@ -248,8 +247,11 @@ def derivation_str(d: Derivation) -> str:
         x = todo.pop()
         if isinstance(x, Derivation):
             r = x.rule
-            todo += [")", *(s for p in reversed(x.premises) for s in (p, " "))]
-            x = f"({' '.join([r.head, *(_PARAM_STR[f.type](getattr(r, f.name)) for f in fields(r))])}"
+            todo.append(")")
+            for p in reversed(x.premises):
+                todo += [p, " "]
+            params = [_PARAM_STR[f.type](getattr(r, f.name)) for f in fields(r)]
+            x = "(" + " ".join([r.head, *params])
         out.append(x)
     return "".join(out)
 
@@ -303,17 +305,12 @@ def subderivations(d: Derivation, path: tuple = ()) -> Iterator[tuple[tuple, Der
 
 
 def replace_subderivation(d: Derivation, path: tuple, new: Derivation) -> Derivation:
-    return _replace(d, path, new, False)
-
-
-def _replace(d: Derivation, path: tuple, new: Derivation, fuse: bool) -> Derivation:
-    """d with new at path; with fuse, each node on the path is built again as
-    the constructors build it."""
     if not path:
         return new
-    i, ps = path[0], d.premises
-    ps = ps[:i] + (_replace(ps[i], path[1:], new, fuse),) + ps[i + 1 :]
-    return d.rule.build(ps) if fuse else Derivation(d.rule, ps)
+    i = path[0]
+    prem = list(d.premises)
+    prem[i] = replace_subderivation(prem[i], path[1:], new)
+    return Derivation(d.rule, tuple(prem))
 
 
 def _rebuild(d: Derivation) -> Derivation:
@@ -323,11 +320,6 @@ def _rebuild(d: Derivation) -> Derivation:
 
 # ---------------------------------------------------------------------------
 # Standard equivalence: one-step neighbors
-
-@functools.lru_cache(maxsize=4096)
-def _origin(rule: RuleTag, lens: tuple) -> tuple:
-    return rule.origin(lens)
-
 
 def _lens(ds: tuple) -> tuple:
     return tuple(len(x.conclusion) for x in ds)
@@ -344,7 +336,15 @@ def _sources(name, rule: RuleTag, lens: tuple, j: int, sub) -> list:
     """Labels of the conclusion's formulas: ``(name,)`` for a principal one,
     ``(name, i, k)`` for one copied from position k of premise i, and sub's
     labels for the formulas of premise j (-1 for none)."""
-    return [(name,) if o is None else sub[o[1] - 1] if o[0] == j else (name, *o) for o in _origin(rule, lens)]
+    out = []
+    for o in rule.origin(lens):
+        if o is None:
+            out.append((name,))
+        elif o[0] == j:
+            out.append(sub[o[1] - 1])
+        else:
+            out.append((name, *o))
+    return out
 
 
 def _pull(d: Derivation, j: int) -> Iterator[Derivation]:
@@ -353,13 +353,13 @@ def _pull(d: Derivation, j: int) -> Iterator[Derivation]:
     r, ps = d.rule, d.premises
     (y,), back = ps[j].premises, ps[j].rule.perm.inverse()
     lens = _lens(ps)
-    src = [back(a) for a in _actives(_origin(r, lens), j, lens[j])]
+    src = [back(a) for a in _actives(r.origin(lens), j, lens[j])]
     images = list(range(1, lens[j] + 1))
     for a, b in zip(src, sorted(src)):
         images[a - 1] = b
     sort = Permutation(tuple(images))
     r2 = r.reindex(lambda a: sort(back(a)))
-    if _actives(_origin(r2, lens), j, lens[j]) != sorted(src):
+    if _actives(r2.origin(lens), j, lens[j]) != sorted(src):
         return
     node = r2.build(ps[:j] + (exchange(y, sort),) + ps[j + 1 :])
     old = _sources(0, r, lens, j, _sources(1, ps[j].rule, lens[j : j + 1], -1, ()))
@@ -375,7 +375,9 @@ def _push(d: Derivation, k: int) -> Iterator[Derivation]:
     lens = _lens(x.premises)
     r2 = x.rule.reindex(s)
     old = _sources(0, d.rule, (len(s),), 0, _sources(1, x.rule, lens, -1, ()))
-    images = dict(zip(_actives(_origin(x.rule, lens), k, lens[k]), _actives(_origin(r2, lens), k, lens[k])))
+    before = _actives(x.rule.origin(lens), k, lens[k])
+    after = _actives(r2.origin(lens), k, lens[k])
+    images = dict(zip(before, after))
     for a, b in zip(old, _sources(1, r2, lens, -1, ())):
         if a != b:
             if a[1:2] != (k,) or b[1:2] != (k,):
@@ -397,20 +399,21 @@ def _swap(d: Derivation, j: int) -> Iterator[Derivation]:
     # that premise's active formula
     if r.arity == 2 and j == 0 and isinstance(s, ParR) and s.pos == lens[0] - 1:
         return
-    o = _origin(s, qlens)
-    act = _actives(_origin(r, lens), j, lens[j])
+    o = s.origin(qlens)
+    act = _actives(r.origin(lens), j, lens[j])
     for k in range(s.arity):
         if any(o[a - 1] is None or o[a - 1][0] != k for a in act):
             continue
         r2 = r.reindex(lambda a: o[a - 1][1])
-        inner = _origin(r2, lens[:j] + qlens[k : k + 1] + lens[j + 1 :])
+        inner = r2.origin(lens[:j] + qlens[k : k + 1] + lens[j + 1 :])
         if _actives(inner, j, qlens[k]) != [o[a - 1][1] for a in act]:
             continue
         at = {c[1]: i for i, c in enumerate(inner, 1) if c and c[0] == j}
         s2 = s.reindex(at.__getitem__)
-        outer = _origin(s2, qlens[:k] + (len(inner),) + qlens[k + 1 :])
+        outer = s2.origin(qlens[:k] + (len(inner),) + qlens[k + 1 :])
         if _actives(outer, k, len(inner)) == [at[a] for a in _actives(o, k, qlens[k])]:
-            node = s2.build(qs[:k] + (r2.build(ps[:j] + (qs[k],) + ps[j + 1 :]),) + qs[k + 1 :])
+            inside = r2.build(ps[:j] + (qs[k],) + ps[j + 1 :])
+            node = s2.build(qs[:k] + (inside,) + qs[k + 1 :])
             if node != d:  # two stacked bots give d back
                 yield node
 
@@ -489,14 +492,11 @@ def _match_perm(src: Sequent, dst: Sequent) -> Optional[Permutation]:
 
 def sim_neighbors(d: Derivation) -> list[Derivation]:
     """All derivations one standard-equivalence permutation away."""
-    # when d is as the constructors build it (only an exchange's build can
-    # differ from its node), a move needs building again only along its path
-    built = all(n.rule.build(n.premises) == n for _, n in subderivations(d) if isinstance(n.rule, ExchangeR))
     out = {}
     for path, node in subderivations(d):
         for cand in _local_neighbors(node):
             try:
-                nd = _replace(d, path, cand, True) if built else _rebuild(_replace(d, path, cand, False))
+                nd = _rebuild(replace_subderivation(d, path, cand))
             except InvalidRule:
                 continue
             if nd.conclusion != d.conclusion or nd == d:
