@@ -183,50 +183,35 @@ def crossing_splits_of(phi: Diagram) -> list[Split]:
 # Untangle relations: gates slide through a B-gate
 
 
-def _big_ranges(bop) -> tuple[range, range, int, int]:
-    lw, rw = bop.gate.left_word, bop.gate.right_word
-    left = range(1, 1 + len(lw))
-    right = range(3 + len(lw), 3 + len(lw) + len(rw))
-    return left, right, len(lw), len(rw)
-
-
-def _find_untangle(phi: Diagram, side: str) -> list[MatchSite]:
+def find_untangle(phi: Diagram, side: str) -> list[MatchSite]:
+    """Gates whose outputs all enter one side's block of a B-gate."""
     tseq = OpSeq.of(phi)
     rule = f"untangle-{side}"
     sites = []
     for bi, bop in enumerate(tseq.ops):
         if not isinstance(bop.gate, BigGate):
             continue
-        left, right, nl, nr = _big_ranges(bop)
-        rng = left if side == "left" else right
+        nl, nr = len(bop.gate.left_word), len(bop.gate.right_word)
+        rng = range(1, 1 + nl) if side == "left" else range(3 + nl, 3 + nl + nr)
         for gi, gop in enumerate(tseq.ops):
             if gi == bi or not gop.out_tokens:
                 continue
+            # a wire that misses the B-gate sits at -1, outside either block
             pos = [
                 bop.in_tokens.index(t) if t in bop.in_tokens else -1
                 for t in gop.out_tokens
             ]
-            if any(p < 0 for p in pos):
-                continue
             if all(p in rng for p in pos):
                 j = min(pos) - rng.start
                 sites.append(site_of(phi, rule, (gi, bi), payload=(side, j)))
     return sorted_sites(sites)
 
 
-def find_untangle_left(phi: Diagram) -> list[MatchSite]:
-    return _find_untangle(phi, "left")
-
-
-def find_untangle_right(phi: Diagram) -> list[MatchSite]:
-    return _find_untangle(phi, "right")
-
-
 def apply_untangle(phi: Diagram, site: MatchSite) -> Diagram:
     side, j = site.payload
     gi, bi = site.g_ops
-    tseq = OpSeq.of(phi)
-    g, b = tseq.ops[gi].gate, tseq.ops[bi].gate
+    gates = phi.gate_list()
+    g, b = gates[gi], gates[bi]
     lw, rw = tuple(b.left_word), tuple(b.right_word)
     k_in, k_out = len(g.inputs), len(g.outputs)
     if side == "left":
@@ -251,7 +236,7 @@ def apply_untangle(phi: Diagram, site: MatchSite) -> Diagram:
     return rewrite_block(phi, site.g_ops, target)
 
 
-def _find_collapse(phi: Diagram, side: str) -> list[MatchSite]:
+def find_collapse(phi: Diagram, side: str) -> list[MatchSite]:
     """A bracket-producing 0-ary gate feeding an entire B block vanishes it."""
     tseq = OpSeq.of(phi)
     rule = f"big-collapse-{side}"
@@ -280,19 +265,9 @@ def _find_collapse(phi: Diagram, side: str) -> list[MatchSite]:
     return sorted_sites(sites)
 
 
-def find_collapse_left(phi: Diagram) -> list[MatchSite]:
-    return _find_collapse(phi, "left")
-
-
-def find_collapse_right(phi: Diagram) -> list[MatchSite]:
-    return _find_collapse(phi, "right")
-
-
 def apply_collapse(phi: Diagram, site: MatchSite) -> Diagram:
     (side,) = site.payload
-    gi, bi = site.g_ops
-    tseq = OpSeq.of(phi)
-    g = tseq.ops[gi].gate
+    g = phi.gate_list()[site.g_ops[0]]
 
     def target(local: Diagram) -> Diagram:
         if side == "left":
@@ -326,7 +301,6 @@ def _supported_intro(tseq: OpSeq, sp: Split) -> Optional[tuple]:
     the ladder ends at an axiom leg whose twin feeds beta (the involuted
     form); the latter is exposed by flipping the axiom first.
     """
-    aop = tseq.ops[sp.alpha]
     chain = sp.chain
     want_right = sp.case == "left"
     beta_port = 0 if sp.case == "left" else 3
@@ -391,9 +365,7 @@ def find_big_intro(phi: Diagram) -> list[MatchSite]:
 
 def _flip_axiom(phi: Diagram, ax_idx: int) -> Diagram:
     """Un-apply the axiom involution: Ax(A) becomes Ax(A^) plus a twist."""
-    tseq = OpSeq.of(phi)
-    g = tseq.ops[ax_idx].gate
-    f = g.formula
+    f = phi.gate_list()[ax_idx].formula
 
     def target(local: Diagram) -> Diagram:
         flipped = single(AxGate(negate(f), True))
@@ -423,8 +395,8 @@ def apply_big_intro(phi: Diagram, site: MatchSite) -> Diagram:
             if s.payload[0] == case and s.payload[3] == -1:
                 return apply_big_intro(flipped, s)
         raise DiagramError("axiom flip did not expose the crossing split")
-    tseq = OpSeq.of(phi)
-    aop, bop = tseq.ops[alpha], tseq.ops[beta]
+    gates = phi.gate_list()
+    alpha_gate, beta_gate = gates[alpha], gates[beta]
 
     if case == "left":
         def extend(labels, lo, hi):
@@ -448,7 +420,7 @@ def apply_big_intro(phi: Diagram, site: MatchSite) -> Diagram:
             big = BigGate(Qw, Sw)
             step1 = parallel(identity(w[:3]), single(big))
             w1 = step1.output  # P X R | L Sw R | L Qw R
-            if isinstance(aop.gate, TensorGate):
+            if isinstance(alpha_gate, TensorGate):
                 alpha2 = TensorGate(X, Sw[0], True)
             else:
                 alpha2 = CutGate(X, True)
@@ -458,7 +430,7 @@ def apply_big_intro(phi: Diagram, site: MatchSite) -> Diagram:
             lad_word = (P,) + aout + Sw[1:]
             step3 = parallel(ladder_left_word(lad_word), identity(w2[len(lad_word):]))
             w3 = step3.output
-            if isinstance(bop.gate, TensorGate):
+            if isinstance(beta_gate, TensorGate):
                 beta2 = TensorGate(P, Qw[0], True)
             else:
                 beta2 = CutGate(P, True)
@@ -511,7 +483,7 @@ def apply_big_intro(phi: Diagram, site: MatchSite) -> Diagram:
         big = BigGate(Tw, Pw)
         step1 = parallel(single(big), identity(w[qs:]))
         w1 = step1.output  # L Pw R | L Tw R | L Y Q1 rest R
-        if isinstance(aop.gate, TensorGate):
+        if isinstance(alpha_gate, TensorGate):
             alpha2 = TensorGate(Tw[-1], Y, True)
         else:
             alpha2 = CutGate(Tw[-1], True)
@@ -524,7 +496,7 @@ def apply_big_intro(phi: Diagram, site: MatchSite) -> Diagram:
         lad = ladder_right_word(lad_word)
         step3 = parallel(identity(w2[: 3 + len(Pw)]), lad, identity(w2[3 + len(Pw) + len(lad_word) :]))
         w3 = step3.output  # L Pw R | L Q1 Trest aout rest R
-        if isinstance(bop.gate, TensorGate):
+        if isinstance(beta_gate, TensorGate):
             beta2 = TensorGate(Pw[-1], Q1, True)
         else:
             beta2 = CutGate(Pw[-1], True)

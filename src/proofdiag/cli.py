@@ -1,6 +1,6 @@
 """Command-line surface.
 
-Exit codes: 0 success / yes; 1 negative verdict; 2 parse errors;
+Exit codes: 0 success / yes; 1 negative verdict; 2 parse errors and unreadable input;
 3 contract violations; 10 unknown verdict.  Every subcommand accepts
 ``--json`` for machine-readable output.
 """
@@ -265,7 +265,7 @@ def run(argv=None) -> int:
         return EXIT_PARSE if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ParseError, FileNotFoundError) as e:
+    except (ParseError, OSError, UnicodeDecodeError) as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except (DiagramError, NotSequentializable, ValueError) as e:

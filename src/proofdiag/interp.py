@@ -4,8 +4,8 @@ Every gate family gets a monotone function over naturals; a diagram then
 denotes the composite function from input values to output values, and a
 rewriting rule is certified when the source function dominates the target
 function pointwise with strict inequality somewhere.  check_decrease
-verifies this on the probe grid {0..grid_max}^arity for each step of a
-trace.
+verifies this on the probe grid {0..GRID_MAX}^arity, at most PROBE_CAP
+points of it, for each step of a trace.
 
 The twist interpretation is (x,y) |-> (x+y, x); the text of the source
 material states (y, x+y), but that orientation fails its own printed
@@ -43,6 +43,10 @@ from .diagram import (
 )
 from .matching import instantiate
 from .polygraph import Polygraph, RewriteTrace
+
+# the probe grid is {0..GRID_MAX}^arity, cut off after its first PROBE_CAP points
+GRID_MAX = 3
+PROBE_CAP = 5000
 
 
 class MissingInterpretation(DiagramError):
@@ -138,16 +142,8 @@ def interpret(phi: Diagram, interp: MonotoneInterpretation, values: tuple) -> tu
     return tuple(vals)
 
 
-def _probe_points(arity: int, grid_max: int, cap: int):
-    total = (grid_max + 1) ** arity
-    pts = itertools.product(range(grid_max + 1), repeat=arity)
-    if total <= cap:
-        yield from pts
-        return
-    for i, p in enumerate(pts):
-        if i >= cap:
-            return
-        yield p
+def _probe_points(arity: int):
+    return itertools.islice(itertools.product(range(GRID_MAX + 1), repeat=arity), PROBE_CAP)
 
 
 @dataclass
@@ -178,13 +174,11 @@ def schema_decreases(
     source: Diagram,
     target: Diagram,
     interp: MonotoneInterpretation,
-    grid_max: int = 3,
-    cap: int = 5000,
 ) -> tuple[bool, str]:
     """Pointwise >= on the grid plus strictness somewhere."""
     arity = len(source.input)
     strict = False
-    for pt in _probe_points(arity, grid_max, cap):
+    for pt in _probe_points(arity):
         a = interpret(source, interp, pt)
         b = interpret(target, interp, pt)
         if len(a) != len(b):
@@ -202,8 +196,6 @@ def check_decrease(
     p: Polygraph,
     interp: MonotoneInterpretation,
     trace: RewriteTrace,
-    grid_max: int = 3,
-    cap: int = 5000,
 ) -> DecreaseReport:
     """Verify strict decrease of the interpretation across each trace step.
 
@@ -221,7 +213,7 @@ def check_decrease(
             try:
                 src = instantiate(src_schema, site.subst)
                 tgt = instantiate(tgt_schema, site.subst)
-                ok, detail = schema_decreases(src, tgt, interp, grid_max, cap)
+                ok, detail = schema_decreases(src, tgt, interp)
             except (KeyError, MissingInterpretation) as e:
                 ok, detail = False, str(e)
             steps.append(StepReport(rule_name, "strict" if ok else "violation", detail))

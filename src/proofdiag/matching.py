@@ -7,6 +7,10 @@ can be made consecutive by interchange moves with the schema's boundary
 occupying a contiguous wire window - exactly the subdiagram condition
 chi_d . (id * phi * id) . chi_u.
 
+A block is cut out in one place, ``_block``: matching compares the block it
+returns with the instantiated schema, and ``rewrite_block`` splices a
+target in its place.
+
 Source schemas must consume every input wire (no pass-through columns);
 all shipped rule sources satisfy this.
 """
@@ -243,84 +247,68 @@ def _embed(sseq: OpSeq, tseq: OpSeq, t0: int) -> Optional[tuple[dict, dict, dict
 # Block extraction (interchange feasibility)
 
 
-def _bubble_block(ops: list[Op], g_flags: list[bool]) -> Optional[tuple[list[Op], list[bool], int, int]]:
+def _bubble_block(ops: list[Op], flags: list[bool]) -> Optional[tuple[list[Op], int, int]]:
     """Reorder ops by adjacent commutations so flagged ops are consecutive."""
-    ops = list(ops)
-    flags = list(g_flags)
+    ops, flags = list(ops), list(flags)
     while True:
         gidx = [i for i, f in enumerate(flags) if f]
         lo, hi = gidx[0], gidx[-1]
         inner = [i for i in range(lo + 1, hi) if not flags[i]]
         if not inner:
-            return ops, flags, lo, hi
+            return ops, lo, hi
         j = inner[0]
-        moved = False
-        # try backward, past the G-prefix above it
-        trial_ops, trial_flags = list(ops), list(flags)
-        ok = True
-        for k in range(j, lo, -1):
-            sw = swap_adjacent(trial_ops, k - 1)
-            if sw is None:
-                ok = False
-                break
-            trial_ops[k - 1], trial_ops[k] = sw
-            trial_flags[k - 1], trial_flags[k] = trial_flags[k], trial_flags[k - 1]
-        if ok:
-            ops, flags = trial_ops, trial_flags
-            moved = True
-        if not moved:
+        # move it backward, past the flagged ops above it, or else forward
+        for swaps in (range(j - 1, lo - 1, -1), range(j, hi)):
             trial_ops, trial_flags = list(ops), list(flags)
-            ok = True
-            for k in range(j, hi):
+            for k in swaps:
                 sw = swap_adjacent(trial_ops, k)
                 if sw is None:
-                    ok = False
                     break
                 trial_ops[k], trial_ops[k + 1] = sw
                 trial_flags[k], trial_flags[k + 1] = trial_flags[k + 1], trial_flags[k]
-            if ok:
+            else:
                 ops, flags = trial_ops, trial_flags
-                moved = True
-        if not moved:
+                break
+        else:
             return None
 
 
-def _word_before(input_tokens: tuple, ops: list[Op], upto: int) -> list:
-    word = list(input_tokens)
-    for op in ops[:upto]:
-        k = len(op.in_tokens)
-        word[op.pos : op.pos + k] = list(op.out_tokens)
-    return word
+def _block(tseq: OpSeq, g_ops, extend=None) -> tuple[list[Op], int, int, int, Diagram]:
+    """Cut the ops ``g_ops`` out of ``tseq`` as one block.
 
-
-def _block_window(tseq: OpSeq, ops: list[Op], lo: int, hi: int) -> Optional[tuple[int, list]]:
-    """Base column and window tokens of the consecutive block ops[lo..hi]."""
-    word = _word_before(tseq.in_tokens, ops, lo)
+    The ops are bubbled together by interchange; the block's window runs
+    from the leftmost to the rightmost wire they consume, widened by
+    ``extend(labels, lo, hi) -> (lo, hi)`` on the block-entry word.  Returns
+    the reordered ops, the block's first and last index in them, the
+    window's first column and the block as a diagram over the window.
+    """
+    members = set(g_ops)
+    blk = _bubble_block(tseq.ops, [i in members for i in range(len(tseq.ops))])
+    if blk is None:
+        raise MatchError("ops cannot be made consecutive by interchange")
+    ops, lo, hi = blk
+    word = list(tseq.in_tokens)
+    for op in ops[:lo]:
+        word[op.pos : op.pos + len(op.in_tokens)] = op.out_tokens
     produced = set()
-    external: list = []
+    consumed_pos: list[int] = []
     for op in ops[lo : hi + 1]:
-        for t in op.in_tokens:
-            if t not in produced:
-                external.append(t)
+        consumed_pos += [word.index(t) for t in op.in_tokens if t not in produced]
         produced.update(op.out_tokens)
-    if not external:
-        return ops[lo].pos, []
-    positions = sorted(word.index(t) for t in external)
-    if positions != list(range(positions[0], positions[0] + len(positions))):
-        return None
-    base = positions[0]
-    window = [word[p] for p in positions]
-    return base, window
-
-
-def _local_block(phi_input_window, ops: list[Op], lo: int, hi: int, base: int) -> Optional[Diagram]:
-    seq = OpSeq(phi_input_window)
+    if consumed_pos:
+        base, last = min(consumed_pos), max(consumed_pos)
+    else:
+        base, last = ops[lo].pos, ops[lo].pos - 1
+    labels = [tseq.labels[t] for t in word]
+    if extend is not None:
+        base, last = extend(labels, base, last)
+    local = OpSeq(tuple(labels[base : last + 1]))
     try:
         for op in ops[lo : hi + 1]:
-            seq.fire_at(op.gate, op.pos - base)
-        return seq.to_diagram()
-    except (DiagramError, MatchError, IndexError):
-        return None
+            local.fire_at(op.gate, op.pos - base)
+        return ops, lo, hi, base, local.to_diagram()
+    except (DiagramError, IndexError) as e:
+        raise MatchError("block does not fit its window") from e
 
 
 # ---------------------------------------------------------------------------
@@ -362,22 +350,16 @@ def find_matches(phi: Diagram, schema: Diagram, rule_name: str = "") -> list[Mat
 
 
 def _fits(tseq: OpSeq, schema: Diagram, g_ops: tuple[int, ...], subst: dict) -> bool:
-    """Whether the ops ``g_ops`` form, modulo interchange, a contiguous block
-    equal to the instantiated schema."""
-    flags = [i in set(g_ops) for i in range(len(tseq.ops))]
-    blk = _bubble_block(tseq.ops, flags)
-    if blk is None:
+    """Whether the ops ``g_ops`` form, modulo interchange, a block equal to
+    the instantiated schema.  A block whose window has a gap has more inputs
+    than the schema, so it never equals it."""
+    try:
+        *_, local = _block(tseq, g_ops)
+    except MatchError:
         return False
-    ops, bflags, lo, hi = blk
-    win = _block_window(tseq, ops, lo, hi)
-    if win is None:
-        return False
-    base, _ = win
-    src_inst = instantiate(schema, subst)
-    local = _local_block(src_inst.input, ops, lo, hi, base)
-    if local is None:
-        return False
-    return interchange_canonical_form(local) == interchange_canonical_form(src_inst)
+    return interchange_canonical_form(local) == interchange_canonical_form(
+        instantiate(schema, subst)
+    )
 
 
 def rewrite_block(
@@ -389,47 +371,23 @@ def rewrite_block(
     """Replace the subdiagram spanned by the ops ``g_ops`` (canonical firing
     order indices) with a concretely computed target.
 
-    Unlike schema replacement, the window may contain pass-through columns,
-    and may be widened by ``extend(labels, lo, hi) -> (lo, hi)`` operating on
-    the block-entry word.  ``make_target(local)`` receives the local source
-    diagram and must return a diagram with identical boundary.
+    ``_block`` cuts the block out, as for matching.  Unlike a schema's, the
+    window may contain pass-through columns, and may be widened by
+    ``extend(labels, lo, hi) -> (lo, hi)`` operating on the block-entry
+    word.  ``make_target(local)`` receives the local source diagram and must
+    return a diagram with identical boundary.
     """
     _require_canonical(phi)
-    tseq = OpSeq.of(phi)
-    flags = [i in set(g_ops) for i in range(len(tseq.ops))]
-    blk = _bubble_block(tseq.ops, flags)
-    if blk is None:
-        raise MatchError("ops cannot be made consecutive by interchange")
-    ops, bflags, lo_i, hi_i = blk
-    word = _word_before(tseq.in_tokens, ops, lo_i)
-    produced = set()
-    consumed_pos: list[int] = []
-    for op in ops[lo_i : hi_i + 1]:
-        for t in op.in_tokens:
-            if t not in produced:
-                consumed_pos.append(word.index(t))
-        produced.update(op.out_tokens)
-    if consumed_pos:
-        lo_c, hi_c = min(consumed_pos), max(consumed_pos)
-    else:
-        lo_c = hi_c = ops[lo_i].pos
-        hi_c -= 1
-    labels = [tseq.labels[t] for t in word]
-    if extend is not None:
-        lo_c, hi_c = extend(labels, lo_c, hi_c)
-    window_word = tuple(labels[lo_c : hi_c + 1])
-    local = _local_block(window_word, ops, lo_i, hi_i, lo_c)
-    if local is None:
-        raise MatchError("block does not fit its window")
+    ops, lo, hi, base, local = _block(OpSeq.of(phi), g_ops, extend)
     target = make_target(local)
     if target.input != local.input or target.output != local.output:
         raise MatchError("computed target changes the block boundary")
     out = OpSeq(phi.input)
-    for op in ops[:lo_i]:
+    for op in ops[:lo]:
         out.fire_at(op.gate, op.pos)
     for top in OpSeq.of(target).ops:
-        out.fire_at(top.gate, top.pos + lo_c)
-    for op in ops[hi_i + 1 :]:
+        out.fire_at(top.gate, top.pos + base)
+    for op in ops[hi + 1 :]:
         out.fire_at(op.gate, op.pos)
     return interchange_canonical_form(out.to_diagram())
 

@@ -53,7 +53,6 @@ def untangle(phi: Diagram) -> tuple[Diagram, RewriteTrace]:
     B-gate through the untangle relations until eliminated or deactivated."""
     initial = interchange_canonical_form(phi)
     cur = initial
-    steps = []
     sites = bigtwist.find_big_intro(cur)
     if not sites:
         if not crossing_splits_of(cur):

@@ -119,32 +119,24 @@ def _plain(n: int) -> tuple:
     return (STRAND,) * n
 
 
-def ladder_left_word(word: tuple) -> Diagram:
-    """Staircase carrying the first wire of ``word`` to the last position."""
-    m = len(word)
-    if m <= 1:
-        return identity(word)
+def _staircase(word: tuple, columns) -> Diagram:
+    """One twist per layer, at each column in turn, over ``word``."""
     layers = []
     cur = list(word)
-    for j in range(m - 1):
-        layer = cur[:j] + [TwistGate(cur[j], cur[j + 1])] + cur[j + 2 :]
-        layers.append(tuple(layer))
+    for j in columns:
+        layers.append(tuple(cur[:j] + [TwistGate(cur[j], cur[j + 1])] + cur[j + 2 :]))
         cur[j], cur[j + 1] = cur[j + 1], cur[j]
     return Diagram(tuple(word), layers)
+
+
+def ladder_left_word(word: tuple) -> Diagram:
+    """Staircase carrying the first wire of ``word`` to the last position."""
+    return _staircase(word, range(len(word) - 1))
 
 
 def ladder_right_word(word: tuple) -> Diagram:
     """Staircase carrying the last wire of ``word`` to the first position."""
-    m = len(word)
-    if m <= 1:
-        return identity(word)
-    layers = []
-    cur = list(word)
-    for j in range(m - 2, -1, -1):
-        layer = cur[:j] + [TwistGate(cur[j], cur[j + 1])] + cur[j + 2 :]
-        layers.append(tuple(layer))
-        cur[j], cur[j + 1] = cur[j + 1], cur[j]
-    return Diagram(tuple(word), layers)
+    return _staircase(word, range(len(word) - 2, -1, -1))
 
 
 def ladder(side: str, n: int, k: int, word: tuple = None) -> Diagram:

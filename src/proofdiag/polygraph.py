@@ -59,6 +59,9 @@ class FuelExhausted(DiagramError):
     """Normalization did not terminate within its fuel; engine bug."""
 
 
+FUEL = 20000  # rewrite steps that normalize takes before it gives up
+
+
 A, B, C = FVar("A"), FVar("B"), FVar("C")
 nA, nB = NVar("A"), NVar("B")
 
@@ -596,27 +599,23 @@ def polygraph(name: str) -> Polygraph:
         )
     if name in ("MLL_big", "Sem"):
         base = list(polygraph("MLL_ctrl").rules)
-        big_rules: list[Rule] = [
-            _big_annihilate(),
-            ProceduralRule(
-                "big-collapse-left", bigtwist.find_collapse_left, bigtwist.apply_collapse
-            ),
-            ProceduralRule(
-                "big-collapse-right", bigtwist.find_collapse_right, bigtwist.apply_collapse
-            ),
-            ProceduralRule(
-                "untangle-left", bigtwist.find_untangle_left, bigtwist.apply_untangle
-            ),
-            ProceduralRule(
-                "untangle-right", bigtwist.find_untangle_right, bigtwist.apply_untangle
-            ),
+        big_rules: list[Rule] = [_big_annihilate()]
+        for kind, find, apply in (
+            ("big-collapse", bigtwist.find_collapse, bigtwist.apply_collapse),
+            ("untangle", bigtwist.find_untangle, bigtwist.apply_untangle),
+        ):
+            big_rules += [
+                ProceduralRule(f"{kind}-{side}", functools.partial(find, side=side), apply)
+                for side in ("left", "right")
+            ]
+        big_rules.append(
             ProceduralRule(
                 "big-intro",
                 bigtwist.find_big_intro,
                 bigtwist.apply_big_intro,
                 note="eliminates one crossing split; source must be MLL_ctrl-irreducible and B-free",
-            ),
-        ]
+            )
+        )
         if name == "MLL_big":
             return Polygraph(
                 name="MLL_big",
@@ -676,15 +675,15 @@ def apply_once(p: Polygraph, phi: Diagram) -> Optional[tuple[Diagram, Rule, obje
     return None
 
 
-def normalize(p: Polygraph, phi: Diagram, fuel: int = 20000) -> tuple[Diagram, RewriteTrace]:
-    """Rewrite to an irreducible diagram; fuel exhaustion is an engine bug."""
+def normalize(p: Polygraph, phi: Diagram) -> tuple[Diagram, RewriteTrace]:
+    """Rewrite to an irreducible diagram; running out of FUEL is an engine bug."""
     initial = interchange_canonical_form(phi)
     cur = initial
     steps: list = []
-    for _ in range(fuel):
+    for _ in range(FUEL):
         res = apply_once(p, cur)
         if res is None:
             return cur, RewriteTrace(initial, steps, cur)
         cur, rule, site = res
         steps.append((rule.name, site))
-    raise FuelExhausted(f"no normal form within {fuel} steps in {p.name}")
+    raise FuelExhausted(f"no normal form within {FUEL} steps in {p.name}")

@@ -64,7 +64,7 @@ def render_svg(phi: Diagram) -> str:
                 else:
                     for i in range(k):
                         wire(pos + i, y, pos + i, y + YSTEP // 2 - 2, isinstance(word[pos + i], Ctrl))
-                    bx = x(pos if k else pos) - 14 if k else x(pos) - 14
+                    bx = x(pos) - 14
                     bw = max(k, m, 1) * XSTEP - 14
                     parts.append(
                         f'<rect x="{bx}" y="{y + YSTEP // 2 - BOXH // 2}" width="{bw}" '

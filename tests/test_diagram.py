@@ -333,33 +333,23 @@ def test_matching_rejects_a_non_canonical_diagram():
 
 
 def _brute_force_sites(phi, schema):
-    """Independent enumerator: try every gate subset and every reordering."""
-    from proofdiag.matching import _bubble_block, _block_window, _local_block
+    """Independent enumerator: cut every gate subset out as one block and try
+    every substitution on it."""
+    blocks = []
 
-    tseq = OpSeq.of(phi)
-    n = len(tseq.ops)
-    k = gate_count(schema)
+    def keep(local):
+        blocks.append(local)
+        return local
+
     hits = set()
-    for combo in itertools.combinations(range(n), k):
-        flags = [i in combo for i in range(n)]
-        blk = _bubble_block(tseq.ops, flags)
-        if blk is None:
+    for combo in itertools.combinations(range(gate_count(phi)), gate_count(schema)):
+        try:
+            rewrite_block(phi, combo, keep)
+        except MatchError:
             continue
-        ops, _, lo, hi = blk
-        win = _block_window(tseq, ops, lo, hi)
-        if win is None:
-            continue
-        base, window = win
-        local = _local_block(tuple(phi_label(phi, t) for t in window), ops, lo, hi, base)
-        if local is None:
-            continue
-        for subst in _all_substs(schema, local):
+        for subst in _all_substs(schema, blocks[-1]):
             hits.add(combo)
     return hits
-
-
-def phi_label(phi, tok):
-    return OpSeq.of(phi).labels[tok]
 
 
 def _all_substs(schema, local):

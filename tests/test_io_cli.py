@@ -188,6 +188,13 @@ def test_cli_check_and_exit_codes(tmp_path):
         assert r.returncode == 2 and r.stderr.startswith("parse error:"), text
     missing = _cli("check", str(tmp_path / "nope.txt"))
     assert missing.returncode == 2
+    # input that cannot be read is a parse error too, not a verdict
+    for cmd in ("check", "seq"):
+        r = _cli(cmd, str(tmp_path))
+        assert r.returncode == 2 and r.stderr.startswith("parse error:"), cmd
+    bad.write_bytes(b"(ax \xff)\n")
+    r = _cli("check", str(bad))
+    assert r.returncode == 2 and r.stderr.startswith("parse error:")
 
 
 def test_cli_represent_seq_normalize_cutelim_equiv(tmp_path):
