@@ -1,8 +1,8 @@
 """Command-line surface.
 
-Exit codes: 0 success / yes; 1 negative verdict; 2 parse errors and unreadable input;
-3 contract violations; 10 unknown verdict.  Every subcommand accepts
-``--json`` for machine-readable output.
+Exit codes: 0 success / yes; 1 negative verdict; 2 parse errors and files
+that cannot be read or written; 3 contract violations; 10 unknown verdict.
+Every subcommand accepts ``--json`` for machine-readable output.
 """
 from __future__ import annotations
 
@@ -60,6 +60,21 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text, end="" if text.endswith("\n") else "\n")
 
 
+def _put(args, key: str, out: str) -> int:
+    """Write out to the ``-o`` file, or emit it under key when there is none."""
+    if not args.output:
+        _emit(args, {key: out}, out)
+        return EXIT_OK
+    try:
+        with open(args.output, "w") as fh:
+            fh.write(out)
+    except OSError as e:
+        print(f"cannot write {args.output}: {e.strerror or e}", file=sys.stderr)
+        return EXIT_PARSE
+    _emit(args, {"written": args.output}, f"wrote {args.output}")
+    return EXIT_OK
+
+
 def _load_diagram_or_derivation(path: str):
     text = _read(path)
     if text.lstrip().startswith("proofdiag-diagram"):
@@ -76,15 +91,7 @@ def cmd_check(args) -> int:
 def cmd_represent(args) -> int:
     d = parse_derivation(_read(args.file))
     sig = "controlled" if args.sig == "ctrl" else "uncontrolled"
-    phi = represent(d, sig)
-    out = diagram_text(phi)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(out)
-        _emit(args, {"written": args.output}, f"wrote {args.output}")
-    else:
-        _emit(args, {"diagram": out}, out)
-    return EXIT_OK
+    return _put(args, "diagram", diagram_text(represent(d, sig)))
 
 
 def cmd_seq(args) -> int:
@@ -172,14 +179,7 @@ def cmd_equiv(args) -> int:
 
 def cmd_render(args) -> int:
     phi = parse_diagram(_read(args.file))
-    out = render_svg(phi) if args.format == "svg" else render_tikz(phi)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(out)
-        _emit(args, {"written": args.output}, f"wrote {args.output}")
-    else:
-        _emit(args, {"rendered": out}, out)
-    return EXIT_OK
+    return _put(args, "rendered", render_svg(phi) if args.format == "svg" else render_tikz(phi))
 
 
 def cmd_oracle(args) -> int:

@@ -223,25 +223,27 @@ def parse_derivation(text: str) -> Derivation:
         "Permutation": permutation,
     }
 
-    def node() -> Derivation:
-        eat("(")
-        head = eat()
-        cls = RULE_TAGS.get(head)
-        if cls is None:
-            raise ParseError(f"unknown rule {head!r}")
-        # a position may be left out, as in (par D): then the rule is at the end
-        kinds = [f.type for f in fields(cls)]
-        params = [read[kind]() for kind in kinds if not (kind == "int" and peek() == "(")]
-        premises = tuple(node() for _ in range(cls.arity))
-        eat(")")
-        if len(params) < len(kinds):
-            return par(*premises)
-        return cls(*params).build(premises)
-
+    # the rules not yet closed, each with its arity and the premises read so
+    # far, over a root that takes the whole derivation as its one premise
+    stack: list = [(None, 1, [])]
     try:
-        d = node()
+        while not stack[0][2]:
+            eat("(")
+            head = eat()
+            cls = RULE_TAGS.get(head)
+            if cls is None:
+                raise ParseError(f"unknown rule {head!r}")
+            # a position may be left out, as in (par D): then the rule is at the end
+            kinds = [f.type for f in fields(cls)]
+            params = [read[kind]() for kind in kinds if not (kind == "int" and peek() == "(")]
+            stack.append((cls(*params) if len(params) == len(kinds) else None, cls.arity, []))
+            while len(stack) > 1 and len(stack[-1][2]) == stack[-1][1]:
+                rule, _, premises = stack.pop()
+                eat(")")
+                stack[-1][2].append(rule.build(tuple(premises)) if rule else par(*premises))
     except (ValueError, IndexError) as e:
         raise ParseError(str(e))
+    (d,) = stack[0][2]
     if pos != len(toks):
         raise ParseError("trailing input after derivation")
     return d

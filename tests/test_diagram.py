@@ -1,5 +1,6 @@
 """Diagram core: compositions, canonical form, matching."""
 import itertools
+import random
 
 import pytest
 
@@ -8,10 +9,15 @@ from proofdiag.diagram import (
     AxGate,
     BotGate,
     BoundaryMismatch,
+    CutGate,
     Diagram,
     EMPTY,
+    Gate,
+    OneGate,
     OpSeq,
     ParGate,
+    Slot,
+    TensorGate,
     TwistGate,
     build,
     compose_par,
@@ -19,6 +25,7 @@ from proofdiag.diagram import (
     gate_count,
     identity,
     interchange_canonical_form as canon,
+    is_formula_label,
     is_gate,
     single,
     slot_inputs,
@@ -35,6 +42,7 @@ from proofdiag.matching import (
 )
 from proofdiag.polygraph import normalize, polygraph
 from proofdiag.translate import represent
+from conftest import random_with_cut
 
 a, b, c = atom("a"), atom("b"), atom("c")
 A, B, C = FVar("A"), FVar("B"), FVar("C")
@@ -135,6 +143,154 @@ def test_canonical_idempotent_and_preserving():
     assert canon(cd) == cd
     assert cd.input == d.input and cd.output == d.output
     assert sorted(map(repr, cd.gate_list())) == sorted(map(repr, d.gate_list()))
+
+
+# ---------------------------------------------------------------------------
+# The hoisting fixpoint that the one-pass canonical form replaced, kept as its
+# differential model
+
+
+def _try_hoist(grid: list[list[Slot]], li: int, si: int) -> bool:
+    """Move the gate at grid[li][si] into layer li-1 if its wires permit."""
+    gate = grid[li][si]
+    above = grid[li - 1]
+    # Input position range of the gate within layer li's input word.
+    p = 0
+    for s in grid[li][:si]:
+        p += len(slot_inputs(s))
+    k = len(slot_inputs(gate))
+    # Map output positions of `above` to slots.
+    bounds = []  # (start, end, slot index) per slot of `above`
+    q = 0
+    for idx, s in enumerate(above):
+        w = len(slot_outputs(s))
+        bounds.append((q, q + w, idx))
+        q += w
+    if k == 0:
+        # Insertion point p must fall on a slot boundary of `above`.
+        at = None
+        for start, end, idx in bounds:
+            if start == p:
+                at = idx
+                break
+        if at is None:
+            if p == q:
+                at = len(above)
+            else:
+                return False  # inside some gate's output block
+    else:
+        touched = [idx for start, end, idx in bounds if start < p + k and end > p]
+        if not touched:
+            return False
+        for idx in touched:
+            if isinstance(above[idx], Gate):
+                return False
+        # Slots must be contiguous (a zero-output gate in between blocks hoisting).
+        if touched != list(range(touched[0], touched[0] + len(touched))):
+            return False
+        if len(touched) != k:
+            return False
+        at = touched[0]
+    # Perform the move.
+    if k == 0:
+        above[at:at] = [gate]
+    else:
+        above[at : at + k] = [gate]
+    grid[li][si : si + 1] = list(slot_outputs(gate))
+    return True
+
+
+def model_canonical_layers(phi: Diagram) -> tuple:
+    """Hoist gates one layer at a time until nothing moves; drop identity layers."""
+    grid = [list(layer) for layer in phi.layers]
+    changed = True
+    while changed:
+        changed = False
+        for li in range(1, len(grid)):
+            si = 0
+            while si < len(grid[li]):
+                if isinstance(grid[li][si], Gate) and _try_hoist(grid, li, si):
+                    changed = True
+                else:
+                    si += 1
+    return tuple(tuple(layer) for layer in grid if any(isinstance(s, Gate) for s in layer))
+
+
+na = negate(a)
+# interchange-equal, yet not all with one canonical form: a cut and a 0-input
+# gate at the same wire keep the order they have in one layer
+CUT_ORDER = [
+    build((a, na), (CutGate(a, False), AxGate(b, False))),
+    build((a, na), (AxGate(b, False), CutGate(a, False))),
+    build((a, na), (CutGate(a, False),), (AxGate(b, False),)),
+]
+
+
+def _gate_moves(word, controlled):
+    """(gate, position) for each gate of the signature that fits the word
+    there, with a tensor's operands up to three wires apart."""
+    moves = [
+        (g, p)
+        for p in range(len(word) + 1)
+        for g in (AxGate(a, controlled), AxGate(b, controlled), OneGate(controlled), BotGate())
+    ]
+    for p, x in enumerate(word):
+        if not is_formula_label(x):
+            continue
+        moves.append((CutGate(x, controlled), p))
+        for y in filter(is_formula_label, word[p + 1 : p + 4]):
+            moves += [(TensorGate(x, y, controlled), p), (TwistGate(x, y), p), (ParGate(x, y), p)]
+    return [(g, p) for g, p in moves if word[p : p + len(g.inputs)] == g.inputs]
+
+
+def _gate_walk(rng, controlled, n):
+    """n random gates, fired left to right on disjoint wires, a few per layer;
+    a layer may hold none."""
+    phi = EMPTY
+    while n:
+        word, layer, p = phi.output, [], 0
+        while n and rng.random() < 0.7:
+            moves = [(g, q) for g, q in _gate_moves(word, controlled) if q >= p]
+            if not moves:
+                break
+            g, q = rng.choice(moves)
+            layer += [*word[p:q], g]
+            p, n = q + len(g.inputs), n - 1
+        phi = Diagram(phi.input, phi.layers + (tuple(layer) + word[p:],))
+    return phi
+
+
+def _agrees_with_model(phi):
+    want = model_canonical_layers(phi)
+    got = canon(phi)
+    assert got.layers == want, phi
+    assert got.input == phi.input
+    assert (got is phi) == (phi.layers == want), phi
+    assert canon(got) is got
+
+
+def test_canonical_form_agrees_with_the_fixpoint():
+    rng = random.Random(17)
+    for i in range(1200):
+        phi = _gate_walk(rng, i % 2 == 0, rng.randint(1, 14))
+        _agrees_with_model(phi)
+        _agrees_with_model(OpSeq.of(phi).to_diagram())
+    for sig in ("controlled", "uncontrolled"):
+        for _ in range(100):
+            d = random_with_cut(rng, rng.randint(2, 10))
+            _agrees_with_model(OpSeq.of(represent(d, sig)).to_diagram())
+    for phi in CUT_ORDER:
+        _agrees_with_model(Diagram(phi.input, phi.layers))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="cut-order gap: the fix changes the depth-4 closure count that the "
+    "benchmark pins (Enumerate.EXPECTED[4], 21,099 to 21,091), so it waits for a "
+    "change to that count",
+)
+def test_cut_order_diagrams_share_one_canonical_form():
+    assert len({canon(phi) for phi in CUT_ORDER}) == 1
 
 
 # ---------------------------------------------------------------------------

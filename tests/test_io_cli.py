@@ -197,6 +197,30 @@ def test_cli_check_and_exit_codes(tmp_path):
     assert r.returncode == 2 and r.stderr.startswith("parse error:")
 
 
+def test_cli_output_that_cannot_be_written(tmp_path):
+    # a failed write is reported as such, not as a parse error of the input
+    d = tmp_path / "d.txt"
+    d.write_text("(ax a)\n")
+    diag = tmp_path / "d.diag"
+    assert _cli("represent", str(d), "-o", str(diag)).returncode == 0
+    out = tmp_path / "missing" / "out"
+    for args in (("represent", str(d)), ("render", str(diag))):
+        r = _cli(*args, "-o", str(out))
+        assert r.returncode == 2, args
+        assert r.stderr.startswith(f"cannot write {out}: "), r.stderr
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [600, 5000])
+def test_cli_check_parses_stacked_bots(tmp_path, n):
+    # one rule per bot: reading the derivation must not recurse per rule
+    path = tmp_path / "bots.txt"
+    path.write_text("(bot " * n + "(one)" + ")" * n + "\n")
+    r = _cli("check", str(path))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.rstrip() == "|- " + ", ".join(["1"] + ["_"] * n)
+
+
 def test_cli_represent_seq_normalize_cutelim_equiv(tmp_path):
     d = tmp_path / "d.txt"
     d.write_text("(cut (par (ax a)) (ax (a*a^)))\n")
