@@ -3,7 +3,9 @@ import random
 
 import pytest
 
-from proofdiag.formula import ONE, Tensor, atom, negate
+from conftest import random_cutfree, random_with_cut
+from rep_model import _rep as model_rep
+from proofdiag.formula import BOT, ONE, Par, Tensor, atom, negate
 from proofdiag.diagram import (
     AxGate,
     OneGate,
@@ -21,6 +23,7 @@ from proofdiag.sequent import (
     bot,
     check_derivation,
     cut,
+    enumerate_derivations,
     exchange,
     one,
     par,
@@ -60,6 +63,20 @@ def test_represent_preserves_rule_count(corpus):
         phi = represent(d)
         fams = {"ax", "one", "bot", "par", "tensor", "cut"}
         assert gate_count(phi, fams) == rule_count(d, include_exchange=False)
+
+
+@pytest.mark.parametrize("sig", ["controlled", "uncontrolled"])
+def test_represent_matches_the_recursive_model(corpus, sig):
+    # the enumerations hold derivations where a right premise's axiom meets a
+    # left premise's cut at one wire, so firing order matters there
+    rng = random.Random(19)
+    seeded = [
+        random_with_cut(rng, rng.randint(2, 12)) if k % 2 else random_cutfree(rng, rng.randint(1, 12))
+        for k in range(400)
+    ]
+    enumerated = [d for goal in ((Par(a, negate(a)),), (BOT, ONE)) for d in enumerate_derivations(goal, 6)]
+    for d in corpus + seeded + enumerated:
+        assert represent(d, sig) == canon(model_rep(d, sig == "controlled")), d
 
 
 def test_is_sequentializable_examples():
