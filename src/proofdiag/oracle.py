@@ -19,10 +19,9 @@ from .diagram import (
     gate_count,
     identity,
     interchange_canonical_form,
-    is_formula_label,
     parallel,
 )
-from .matching import MatchError, find_matches, instantiate, replace_at, unify_formula
+from .matching import MatchError, find_matches, instantiate, replace_at, unify_label
 from .polygraph import Polygraph, RewriteTrace, normalize, polygraph
 from .sequent import Derivation
 from .translate import is_sequentializable, represent
@@ -128,16 +127,7 @@ def _insertion_sites(phi: Diagram, word_schema: tuple) -> list[tuple[int, dict]]
     sites = []
     for i in range(len(out) - k + 1):
         subst: dict = {}
-        ok = True
-        for pat, lab in zip(word_schema, out[i : i + k]):
-            if is_formula_label(pat):
-                if not is_formula_label(lab) or not unify_formula(pat, lab, subst):
-                    ok = False
-                    break
-            elif pat != lab:
-                ok = False
-                break
-        if ok:
+        if all(unify_label(pat, lab, subst) for pat, lab in zip(word_schema, out[i : i + k])):
             sites.append((i, subst))
     return sites
 

@@ -27,7 +27,6 @@ from .diagram import (
     compose_seq,
     identity,
     interchange_canonical_form,
-    is_gate,
 )
 
 
@@ -188,16 +187,10 @@ def diagram_to_perm(phi: Diagram) -> Permutation:
     """Interpret a twist-only diagram as the permutation it computes."""
     n = len(phi.input)
     positions = list(range(1, n + 1))  # positions[p] = input index at position p+1
-    for layer in phi.layers:
-        pos = 0
-        for s in layer:
-            if is_gate(s):
-                if not isinstance(s, TwistGate):
-                    raise NonTwistGate(f"non-twist gate in permutation diagram: {s}")
-                positions[pos], positions[pos + 1] = positions[pos + 1], positions[pos]
-                pos += 2
-            else:
-                pos += 1
+    for _, pos, g in phi.gates():
+        if not isinstance(g, TwistGate):
+            raise NonTwistGate(f"non-twist gate in permutation diagram: {g}")
+        positions[pos], positions[pos + 1] = positions[pos + 1], positions[pos]
     images = [0] * n
     for p, i in enumerate(positions, start=1):
         images[i - 1] = p

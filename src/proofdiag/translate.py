@@ -1,9 +1,13 @@
 """Between sequent derivations and proof diagrams.
 
 ``represent`` builds the diagram of a derivation by the inductive clauses of
-the correspondence theorems (controlled or uncontrolled signature);
-exchange nodes become canonical permutation diagrams sandwiched between the
-control strings.
+the correspondence theorems (controlled or uncontrolled signature), one gate
+per rule fired into one ``OpSeq``: the ax/one leaves first, left to right,
+then each other rule after its premises, at its first active formula.  An
+exchange fires the twists of its canonical permutation diagram between the
+control strings.  Before the canonical form, it costs the size of the
+one-op-per-layer diagram it returns.  ``tests/rep_model.py`` keeps the
+earlier recursive version as the differential model.
 
 ``is_sequentializable`` is the linear-time check: a controlled diagram
 corresponds to a derivation iff its input is empty and its output reads
@@ -50,14 +54,9 @@ from .diagram import (
     TwistGate,
     L,
     R,
-    compose_par,
-    compose_seq,
     controlled_signature,
     gate_count,
-    identity,
     interchange_canonical_form,
-    parallel,
-    single,
 )
 from .perm import Permutation, canonical_perm_diagram
 from .polygraph import normalize, polygraph
@@ -101,58 +100,51 @@ def represent(d: Derivation, sig: str = "controlled") -> Diagram:
     return interchange_canonical_form(_rep(d, controlled))
 
 
+_GATE = {  # the gate of a rule, given its tag and its active formulas in order
+    AxR: lambda r, fs, c: AxGate(r.formula, c),
+    OneR: lambda r, fs, c: OneGate(c),
+    BotR: lambda r, fs, c: BotGate(),
+    ParR: lambda r, fs, c: ParGate(*fs),
+    TensorR: lambda r, fs, c: TensorGate(*fs, c),
+    CutR: lambda r, fs, c: CutGate(fs[0], c),
+}
+
+
 def _rep(d: Derivation, c: bool) -> Diagram:
-    r = d.rule
-    if isinstance(r, AxR):
-        return single(AxGate(r.formula, c))
-    if isinstance(r, OneR):
-        return single(OneGate(c))
-    if isinstance(r, BotR):
-        phi = _rep(d.premises[0], c)
-        if c:
-            inner = phi.output[1:-1]
-            step = parallel(identity((L,) + inner), single(BotGate()), identity((R,)))
-        else:
-            step = parallel(identity(phi.output), single(BotGate()))
-        return compose_seq(phi, step)
-    if isinstance(r, ParR):
-        phi = _rep(d.premises[0], c)
-        off = 1 if c else 0
-        word = phi.output
-        p = r.pos - 1 + off
-        a, b = word[p], word[p + 1]
-        step = parallel(
-            identity(word[:p]), single(ParGate(a, b)), identity(word[p + 2 :])
-        )
-        return compose_seq(phi, step)
-    if isinstance(r, (TensorR, CutR)):
-        phi1 = _rep(d.premises[0], c)
-        phi2 = _rep(d.premises[1], c)
-        top = compose_par(phi1, phi2)
-        word = top.output
-        if c:
-            p = len(phi1.output) - 2  # column of the left active formula
-        else:
-            p = len(phi1.output) - 1
-        if isinstance(r, TensorR):
-            a = d.premises[0].conclusion[-1]
-            b = d.premises[1].conclusion[0]
-            g = TensorGate(a, b, c)
-        else:
-            g = CutGate(d.premises[0].conclusion[-1], c)
-        k = 4 if c else 2
-        step = parallel(identity(word[:p]), single(g), identity(word[p + k :]))
-        return compose_seq(top, step)
-    if isinstance(r, ExchangeR):
-        phi = _rep(d.premises[0], c)
-        if c:
-            inner = phi.output[1:-1]
-            block = canonical_perm_diagram(r.perm, inner)
-            step = parallel(identity((L,)), block, identity((R,)))
-        else:
-            step = canonical_perm_diagram(r.perm, phi.output)
-        return compose_seq(phi, step)
-    raise DiagramError(f"unknown rule {r!r}")
+    """Fire one gate per rule into one ``OpSeq``: the ax/one leaves first,
+    left to right, then every other rule after its premises, at its first
+    active formula (a bot after its premise's formulas)."""
+    off = 1 if c else 0  # the L before each conclusion's formulas
+    # (derivation, column of its conclusion when it fires): only whole
+    # subtrees lie left of it then, and what is right of it does not count
+    nodes, stack = [], [(d, 0)]
+    while stack:  # a node, then its right subtree, then its left one
+        x, col = stack.pop()
+        nodes.append((x, col))
+        for p in x.premises:
+            stack.append((p, col))
+            col += len(p.conclusion) + 2 * off
+    nodes.reverse()  # premises first, leaves left to right
+    seq = OpSeq(())
+    # leaves first: no cut then fires before a leaf at its wire, an order
+    # the canonical form does not undo (the cut-order gap)
+    for x, _ in nodes:
+        if not x.premises:
+            seq.fire_at(_GATE[type(x.rule)](x.rule, (), c), len(seq.word))
+    for x, col in nodes:
+        r, ps = x.rule, x.premises
+        if not ps:
+            continue
+        if isinstance(r, ExchangeR):
+            for op in OpSeq.of(canonical_perm_diagram(r.perm, ps[0].conclusion)).ops:
+                seq.fire_at(op.gate, col + off + op.pos)
+            continue
+        lens = tuple(len(p.conclusion) for p in ps)
+        copied = set(r.origin(lens))
+        acts = [(j, k) for j, n in enumerate(lens) for k in range(1, n + 1) if (j, k) not in copied]
+        fs = [ps[j].conclusion[k - 1] for j, k in acts]
+        seq.fire_at(_GATE[type(r)](r, fs, c), col + off + (acts[0][1] - 1 if acts else lens[0]))
+    return seq.to_diagram()
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +207,8 @@ def sequentialize(phi: Diagram) -> Derivation:
     phi = interchange_canonical_form(phi)
     if not is_sequentializable(phi):
         raise NotSequentializable(f"boundary {phi.output}")
+    if controlled_signature(phi) is not True:  # a mix of the two raises DiagramError
+        raise NotSequentializable("not a controlled diagram")
     phi = _strip_big(phi)
     d = _seq(phi)
     if d.conclusion != boundary_sequent(phi):
@@ -422,17 +416,9 @@ def to_proof_structure(phi: Diagram) -> ProofStructure:
     cell_of: dict = {}
     for i, op in enumerate(seq.ops):
         g = op.gate
-        if isinstance(g, TensorGate):
-            cells.append((f"n{i}", "tensor", g.outputs[0]))
-        elif isinstance(g, ParGate):
-            cells.append((f"n{i}", "par", g.outputs[0]))
-        elif isinstance(g, OneGate):
-            cells.append((f"n{i}", "one", None))
-        elif isinstance(g, BotGate):
-            cells.append((f"n{i}", "bot", None))
-        else:
-            continue
-        cell_of[i] = f"n{i}"
+        if g.family in ("tensor", "par", "one", "bot"):  # a connective's cell names its formula
+            cells.append((f"n{i}", g.family, g.outputs[0] if g.inputs else None))
+            cell_of[i] = f"n{i}"
 
     def chase_down(tok):
         while True:
@@ -471,7 +457,7 @@ def to_proof_structure(phi: Diagram) -> ProofStructure:
             wires.append(
                 ("cut", (chase_up(op.in_tokens[0]), chase_up(op.in_tokens[1])), g.formula)
             )
-        elif isinstance(g, (TensorGate, ParGate, OneGate, BotGate)):
+        elif i in cell_of:
             for t in op.out_tokens:
                 wires.append(
                     ("flow", (("cell", cell_of[i], "out"), chase_down(t)), seq.labels[t])

@@ -221,6 +221,18 @@ def test_cli_check_parses_stacked_bots(tmp_path, n):
     assert r.stdout.rstrip() == "|- " + ", ".join(["1"] + ["_"] * n)
 
 
+def test_cli_represent_and_seq_stacked_bots(tmp_path):
+    # one rule per bot: representing the derivation must not recurse per rule
+    n = 1500
+    path, diag = tmp_path / "bots.txt", tmp_path / "bots.diag"
+    path.write_text("(bot " * n + "(one)" + ")" * n + "\n")
+    r = _cli("represent", str(path), "-o", str(diag))
+    assert r.returncode == 0, r.stderr
+    r = _cli("seq", str(diag))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.rstrip().endswith("|- " + ", ".join(["1"] + ["_"] * n))
+
+
 def test_cli_represent_seq_normalize_cutelim_equiv(tmp_path):
     d = tmp_path / "d.txt"
     d.write_text("(cut (par (ax a)) (ax (a*a^)))\n")

@@ -25,6 +25,7 @@ from proofdiag.diagram import (
     TensorGate,
     TwistGate,
     compose_seq,
+    controlled_signature,
     identity,
     interchange_canonical_form,
     is_formula_label,
@@ -147,25 +148,31 @@ def test_model_agrees_on_sem_normal_forms():
 # branch is connected, has an unconsumed ax/one leaf only when it is that
 # leaf alone, and splits cleanly after its gate's R.  An uncontrolled
 # gate inside a controlled diagram, which no diagram file can express,
-# reaches the first two; the third is unreachable through sequentialize.
+# reaches the first two; sequentialize refuses such a diagram up front, so
+# they are pinned on the peeling loops themselves, as is the third.
+
+
+def _refused_mix(phi):
+    assert is_sequentializable(phi)
+    with pytest.raises(DiagramError, match="mixes controlled and uncontrolled"):
+        sequentialize(phi)
+    return interchange_canonical_form(phi)
 
 
 def test_a_shared_wire_is_a_malformed_branch():
     # an uncontrolled tensor leaves no R,L between its inputs to split at
-    phi = Diagram((), [(AxGate(a),), (L, TensorGate(a, negate(a), False), R)])
-    assert is_sequentializable(phi)
-    assert _agree(phi) is MalformedBranch
-    with pytest.raises(MalformedBranch, match="branches share a wire"):
-        sequentialize(phi)
+    phi = _refused_mix(Diagram((), [(AxGate(a),), (L, TensorGate(a, negate(a), False), R)]))
+    for peel in (_seq, model_seq):
+        with pytest.raises(MalformedBranch, match="branches share a wire"):
+            peel(phi)
 
 
 def test_only_leaves_left_is_not_sequentializable():
     # an uncontrolled axiom inside a controlled one: two leaves, nothing to peel
-    phi = Diagram((), [(AxGate(a),), (L, a, negate(a), AxGate(a, False), R)])
-    assert is_sequentializable(phi)
-    assert _agree(phi) is NotSequentializable
-    with pytest.raises(NotSequentializable, match="no peelable bottom gate"):
-        sequentialize(phi)
+    phi = _refused_mix(Diagram((), [(AxGate(a),), (L, a, negate(a), AxGate(a, False), R)]))
+    for peel in (_seq, model_seq):
+        with pytest.raises(NotSequentializable, match="no peelable bottom gate"):
+            peel(phi)
 
 
 def test_a_single_gate_that_is_no_leaf_is_not_sequentializable():
@@ -181,14 +188,15 @@ def test_a_closed_loop_is_dropped_at_the_first_split():
     # an uncontrolled axiom cut against itself reaches no boundary wire; the
     # model leaves it out of both branches of the first split, and so must the loop
     c = atom("c")
-    phi = Diagram((), [
+    phi = _refused_mix(Diagram((), [
         (AxGate(a), AxGate(b)),
         (L, a, AxGate(c, False), negate(a), R, L, b, negate(b), R),
         (L, a, CutGate(c, False), negate(a), R, L, b, negate(b), R),
         (L, TwistGate(a, negate(a)), R, L, b, negate(b), R),
         (L, negate(a), TensorGate(a, b), negate(b), R),
-    ])
-    assert _agree(phi) == tensor(exchange(ax(a), Permutation((2, 1))), ax(b))
+    ]))
+    for peel in (_seq, model_seq):
+        assert peel(phi) == tensor(exchange(ax(a), Permutation((2, 1))), ax(b))
 
 
 def _mixed_walk(rng):
@@ -216,7 +224,8 @@ def _mixed_walk(rng):
 
 
 def test_model_agrees_on_which_mixed_diagrams_sequentialize():
-    """Uncontrolled gates among controlled ones: both succeed alike or both fail.
+    """Uncontrolled gates among controlled ones: sequentialize refuses them,
+    and the two peeling loops both succeed alike or both fail.
 
     On these diagrams alone the two can raise different DiagramError types:
     the model splits at the gate's position when it fired, which a later
@@ -228,8 +237,15 @@ def test_model_agrees_on_which_mixed_diagrams_sequentialize():
         phi = _mixed_walk(rng)
         if not is_sequentializable(phi):
             continue
+        try:
+            controlled_signature(phi)
+        except DiagramError:
+            phi = _refused_mix(phi)
+        else:
+            _agree(phi)
+            continue
         tried += 1
-        got, want = _outcome(sequentialize, phi), _outcome(model_sequentialize, phi)
+        got, want = _outcome(_seq, phi), _outcome(model_seq, phi)
         if isinstance(want, type):
             failed += 1
             assert isinstance(got, type), phi
