@@ -153,6 +153,8 @@ def test_model_agrees_on_sem_normal_forms():
 
 
 def _refused_mix(phi):
+    """Check that sequentialize refuses phi, which mixes the signatures, and
+    give its canonical form for the peeling loops."""
     assert is_sequentializable(phi)
     with pytest.raises(DiagramError, match="mixes controlled and uncontrolled"):
         sequentialize(phi)
