@@ -20,8 +20,10 @@ from pathlib import Path
 import pytest
 
 from conftest import _handmade, random_with_cut
+from proofdiag.diagram import identity
 from proofdiag.diagramio import derivation_text, diagram_text, parse_derivation, polygraph_rules_text
-from proofdiag.polygraph import POLYGRAPH_NAMES, normalize, polygraph
+from proofdiag.formula import atom
+from proofdiag.polygraph import POLYGRAPH_NAMES, WORD_MAX_WIDTH, normalize, polygraph
 from proofdiag.sequent import cut_step, derivation_str, find_cut_paths, sim_neighbors, tensor
 from proofdiag.translate import represent, sequentialize
 
@@ -32,6 +34,8 @@ SYSTEMS = (("Sem", "controlled"), ("MLL_big", "controlled"), ("MLLu_Cut", "uncon
 TRACE_DIGEST = "02c09e1d1741ea005e72cf35b6106a615814b1c1235d655a74623612b443dd59"
 
 DERIVATION_DIGEST = "79d81561fc0d03f7d179223e561ca8daf0919da8de442418d337f5b2f081dca1"
+
+SCHEMA_DIGEST = "ad6b6e3915bac4acb4fbb5315ac916e59bbdb7d84ae990c2655a310e11d2fb91"
 
 
 def _step_data(rule_name, site) -> tuple:
@@ -85,6 +89,22 @@ def test_derivation_layer_digest(corpus):
 def test_polygraph_rules_text_golden(name):
     want = (GOLDEN / f"rules_{name}.txt").read_text()
     assert polygraph_rules_text(polygraph(name)) == want
+
+
+def test_every_schema_pair_digest():
+    # the rule dumps show the word and sigma families at width 0 only; this
+    # pins every member that a diagram of the widest matched width can use
+    phi = identity((atom("a"),) * WORD_MAX_WIDTH)
+    h = hashlib.sha256()
+    pairs = 0
+    for name in POLYGRAPH_NAMES:
+        for rule in polygraph(name).rules:
+            for key in rule.keys(phi):
+                src, tgt = rule.pair(*key)
+                h.update(f"{name} {rule.name} {key!r}\n{diagram_text(src)}{diagram_text(tgt)}".encode())
+                pairs += 1
+    assert pairs == 96
+    assert h.hexdigest() == SCHEMA_DIGEST
 
 
 # Sem steps of tensor(paired tensor example, principal tensor/par cut): a
