@@ -268,6 +268,9 @@ def run(argv=None) -> int:
     except (ParseError, OSError, UnicodeDecodeError) as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
+    except RecursionError:
+        print("parse error: input nests too deeply", file=sys.stderr)
+        return EXIT_PARSE
     except (DiagramError, NotSequentializable, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONTRACT

@@ -42,7 +42,7 @@ from dataclasses import dataclass, fields
 from functools import cache
 from typing import ClassVar, Iterable, Iterator, Optional, Union
 
-from .formula import BOT, ONE, Formula, Tensor, Par, negate, is_concrete, show
+from .formula import BOT, ONE, Formula, Tensor, Par, negate, show
 
 
 class DiagramError(ValueError):
@@ -365,16 +365,6 @@ class Diagram:
 
     def gate_list(self) -> list[Gate]:
         return [g for _, _, g in self.gates()]
-
-    def is_concrete(self) -> bool:
-        for lab in self.input:
-            if is_formula_label(lab) and not is_concrete(lab):
-                return False
-        for _, _, g in self.gates():
-            for lab in tuple(g.inputs) + tuple(g.outputs):
-                if is_formula_label(lab) and not is_concrete(lab):
-                    return False
-        return True
 
 
 def identity(word: Iterable[Label]) -> Diagram:

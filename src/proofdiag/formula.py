@@ -98,14 +98,6 @@ def size(f: Formula) -> int:
     return 0
 
 
-def is_concrete(f: Formula) -> bool:
-    if isinstance(f, (FVar, NVar)):
-        return False
-    if isinstance(f, (Tensor, Par)):
-        return is_concrete(f.left) and is_concrete(f.right)
-    return True
-
-
 def subformulas(f: Formula) -> set:
     out = {f}
     if isinstance(f, (Tensor, Par)):

@@ -26,18 +26,14 @@ from typing import Callable, Optional
 
 from .formula import Formula, size
 from .diagram import (
-    AxGate,
     BigGate,
-    BotGate,
     CutGate,
     Diagram,
     DiagramError,
     Gate,
-    OneGate,
-    ParGate,
-    TensorGate,
     TwistGate,
     interchange_canonical_form,
+    is_formula_label,
     is_gate,
     slot_inputs,
 )
@@ -82,36 +78,25 @@ def label_weight(f: Formula) -> int:
     return 4 ** (size(f) + 1)
 
 
-def _mll_gate(gate: Gate) -> Optional[Callable]:
+def _mll_gate(gate: Gate) -> Callable:
     if isinstance(gate, TwistGate):
         return _twist_fn(label_weight(gate.left) * label_weight(gate.right))
-    if isinstance(gate, ParGate):
-        return lambda x, y: (x + y + 1,)
-    if isinstance(gate, TensorGate):
-        if gate.controlled:
-            return lambda x, z1, z2, y: (x + y + 1,)
-        return lambda x, y: (x + y + 1,)
-    if isinstance(gate, AxGate):
-        if gate.controlled:
-            return lambda: (1, 1, 1, 1)
-        return lambda: (1, 1)
-    if isinstance(gate, CutGate):
-        return lambda *a: ()
-    if isinstance(gate, OneGate):
-        if gate.controlled:
-            return lambda: (1, 1, 1)
-        return lambda: (1,)
-    if isinstance(gate, BotGate):
-        return lambda: (1,)
     if isinstance(gate, BigGate):
-        nl, nr = len(gate.left_word), len(gate.right_word)
+        nl = len(gate.left_word)
 
         def swap(*vals):
             first, second = vals[: nl + 2], vals[nl + 2 :]
             return second + first
 
         return swap
-    return None
+    # any other gate: each output is 1 plus its formula inputs; control wires weigh nothing
+    weighed = [is_formula_label(lab) for lab in gate.inputs]
+    n = len(gate.outputs)
+
+    def fn(*vals):
+        return (1 + sum(x for x, w in zip(vals, weighed) if w),) * n
+
+    return fn
 
 
 S_INTERPRETATION = MonotoneInterpretation("permutation-polygraph", _s_gate)

@@ -16,6 +16,13 @@ Shipped systems (by the names the rest of the library uses):
 Rule orientation follows the printed systems: gates are pushed below
 crossings.  The rewriting strategy is deterministic: first applicable rule
 in declaration order, at its topmost-leftmost site.
+
+The gate-crossing (slide) rules say that the twist is natural: each one is
+the naturality square of a generator against a crossing with one wire, on
+one side, built once by ``_slide``.  The cut's square is flipped.  A cut has
+no outputs, so above it no wire is left to cross: its unflipped square would
+rewrite a cut beside a wire into crossings, while the flipped one removes the
+crossings above the cut.
 """
 from __future__ import annotations
 
@@ -32,6 +39,8 @@ from .diagram import (
     CutGate,
     Diagram,
     DiagramError,
+    EMPTY,
+    Gate,
     OneGate,
     ParGate,
     TensorGate,
@@ -86,7 +95,6 @@ class SchemaRule:
     name: str
     source: Diagram
     target: Diagram
-    note: str = ""
 
     def keys(self, phi: Diagram) -> list[tuple]:
         return [()]
@@ -107,7 +115,6 @@ class WordRule:
 
     name: str
     builder: Callable[[int], tuple[Diagram, Diagram]]
-    note: str = ""
 
     def keys(self, phi: Diagram) -> list[tuple]:
         return [(w,) for w in range(min(WORD_MAX_WIDTH, _max_width(phi)) + 1)]
@@ -128,7 +135,6 @@ class SigmaRule:
 
     name: str
     builder: Callable[[int, Permutation], tuple[Diagram, Diagram]]
-    note: str = ""
 
     def keys(self, phi: Diagram) -> list[tuple]:
         return [
@@ -215,111 +221,28 @@ def _yang_baxter() -> SchemaRule:
     return SchemaRule("yang-baxter", src, tgt)
 
 
-def _binary_slides(kind: str) -> list[SchemaRule]:
-    """Gate-crossing rules for a 2-to-1 gate (par, or uncontrolled tensor)."""
-    if kind == "par":
-        gate = ParGate(A, B)
-        gate_lr = ParGate(B, C)
-        out_ab, out_bc = Par(A, B), Par(B, C)
+def _slide(name: str, gate: Gate, wire, side: str, flip: bool = False) -> SchemaRule:
+    """The naturality square of ``gate`` and a crossing with ``wire`` on the
+    given side: the gate above the crossing, rewritten to the gate below it.
+    ``flip`` swaps source and target."""
+    g, w = single(gate), identity((wire,))
+    if side == "right":
+        src = compose_seq(compose_par(g, w), ladder_right_word(gate.outputs + (wire,)))
+        tgt = compose_seq(ladder_right_word(gate.inputs + (wire,)), compose_par(w, g))
     else:
-        gate = TensorGate(A, B, False)
-        gate_lr = TensorGate(B, C, False)
-        out_ab, out_bc = Tensor(A, B), Tensor(B, C)
-    right = SchemaRule(
-        f"{kind}-slide-right",
-        Diagram((A, B, C), ((gate, C), (TwistGate(out_ab, C),))),
-        Diagram(
-            (A, B, C),
-            ((A, TwistGate(B, C)), (TwistGate(A, C), B), (C, gate)),
-        ),
-        note="gate pushed below the crossing, sliding right",
-    )
-    left = SchemaRule(
-        f"{kind}-slide-left",
-        Diagram((A, B, C), ((A, gate_lr), (TwistGate(A, out_bc),))),
-        Diagram(
-            (A, B, C),
-            ((TwistGate(A, B), C), (B, TwistGate(A, C)), (gate_lr, A)),
-        ),
-        note="gate pushed below the crossing, sliding left",
-    )
-    return [right, left]
+        src = compose_seq(compose_par(w, g), ladder_left_word((wire,) + gate.outputs))
+        tgt = compose_seq(ladder_left_word((wire,) + gate.inputs), compose_par(g, w))
+    return SchemaRule(name, tgt, src) if flip else SchemaRule(name, src, tgt)
 
 
-def _nullary_slides(kind: str) -> list[SchemaRule]:
-    if kind == "bot":
-        g = BotGate()
-        out = BOT
-    else:
-        g = OneGate(False)
-        out = ONE
-    right = SchemaRule(
-        f"{kind}-slide-right",
-        Diagram((A,), ((g, A), (TwistGate(out, A),))),
-        Diagram((A,), ((A, g),)),
-    )
-    left = SchemaRule(
-        f"{kind}-slide-left",
-        Diagram((A,), ((A, g), (TwistGate(A, out),))),
-        Diagram((A,), ((g, A),)),
-    )
-    return [right, left]
-
-
-def _ax_slides() -> list[SchemaRule]:
-    right = SchemaRule(
-        "ax-slide-right",
-        Diagram(
-            (B,),
-            (
-                (AxGate(A, False), B),
-                (A, TwistGate(nA, B)),
-                (TwistGate(A, B), nA),
-            ),
-        ),
-        Diagram((B,), ((B, AxGate(A, False)),)),
-    )
-    left = SchemaRule(
-        "ax-slide-left",
-        Diagram(
-            (B,),
-            (
-                (B, AxGate(A, False)),
-                (TwistGate(B, A), nA),
-                (A, TwistGate(B, nA)),
-            ),
-        ),
-        Diagram((B,), ((AxGate(A, False), B),)),
-    )
-    return [right, left]
-
-
-def _cut_slides() -> list[SchemaRule]:
-    left = SchemaRule(
-        "cut-slide-left",
-        Diagram(
-            (A, nA, B),
-            (
-                (A, TwistGate(nA, B)),
-                (TwistGate(A, B), nA),
-                (B, CutGate(A, False)),
-            ),
-        ),
-        Diagram((A, nA, B), ((CutGate(A, False), B),)),
-    )
-    right = SchemaRule(
-        "cut-slide-right",
-        Diagram(
-            (B, A, nA),
-            (
-                (TwistGate(B, A), nA),
-                (A, TwistGate(B, nA)),
-                (CutGate(A, False), B),
-            ),
-        ),
-        Diagram((B, A, nA), ((B, CutGate(A, False)),)),
-    )
-    return [left, right]
+def _slides(kind: str, right: tuple, left: tuple, flip: bool = False) -> list[SchemaRule]:
+    """The squares of each side, given as (gate, wire); a flipped square moves
+    the gate the other way, so it is named after the other side."""
+    names = ("left", "right") if flip else ("right", "left")
+    return [
+        _slide(f"{kind}-slide-{n}", gate, wire, side, flip)
+        for n, side, (gate, wire) in zip(names, ("right", "left"), (right, left))
+    ]
 
 
 def _ax_involution(controlled: bool) -> list[SchemaRule]:
@@ -391,51 +314,10 @@ def _ax_cut_snake_sigma(w: int, sigma: Permutation) -> tuple[Diagram, Diagram]:
     return src, tgt
 
 
-def _mult_cut_rules_uncontrolled() -> list[SchemaRule]:
-    """(A par B) against (B' tensor A') cuts, both orders."""
-    par_ten = SchemaRule(
-        "cut-par-tensor",
-        compose_seq(
-            parallel(single(ParGate(A, B)), single(TensorGate(nB, nA, False))),
-            single(CutGate(Par(A, B), False)),
-        ),
-        compose_seq(
-            parallel(identity((A,)), single(CutGate(B, False)), identity((nA,))),
-            single(CutGate(A, False)),
-        ),
-    )
-    ten_par = SchemaRule(
-        "cut-tensor-par",
-        compose_seq(
-            parallel(single(TensorGate(A, B, False)), single(ParGate(nB, nA))),
-            single(CutGate(Tensor(A, B), False)),
-        ),
-        compose_seq(
-            parallel(identity((A,)), single(CutGate(B, False)), identity((nA,))),
-            single(CutGate(A, False)),
-        ),
-    )
-    return [par_ten, ten_par]
-
-
-def _unit_cut_rules_uncontrolled() -> list[SchemaRule]:
-    bot_one = SchemaRule(
-        "cut-bot-one",
-        compose_seq(
-            parallel(single(BotGate()), single(OneGate(False))),
-            single(CutGate(BOT, False)),
-        ),
-        identity(()),
-    )
-    one_bot = SchemaRule(
-        "cut-one-bot",
-        compose_seq(
-            parallel(single(OneGate(False)), single(BotGate())),
-            single(CutGate(ONE, False)),
-        ),
-        identity(()),
-    )
-    return [bot_one, one_bot]
+def _cut_pair(name: str, left: Gate, right: Gate, target: Diagram) -> SchemaRule:
+    """A principal cut of two uncontrolled gates, ``left`` against ``right``."""
+    src = compose_seq(compose_par(single(left), single(right)), single(CutGate(left.outputs[0], False)))
+    return SchemaRule(name, src, target)
 
 
 # ---------------------------------------------------------------------------
@@ -519,12 +401,8 @@ def _cut_one_bot() -> SchemaRule:
 
 
 def _big_annihilate() -> SchemaRule:
-    return SchemaRule(
-        "big-annihilate",
-        single(BigGate((), ())),
-        identity((L, R, L, R)),
-        note="a big twist over two emptied sheafs is the identity on labels",
-    )
+    # a big twist over two emptied sheafs is the identity on labels
+    return SchemaRule("big-annihilate", single(BigGate((), ())), identity((L, R, L, R)))
 
 
 # ---------------------------------------------------------------------------
@@ -534,8 +412,6 @@ def _big_annihilate() -> SchemaRule:
 @dataclass(frozen=True)
 class Polygraph:
     name: str
-    wire_alphabet: str
-    twisting_family: str
     signature: tuple[str, ...]
     rules: tuple[Rule, ...]
 
@@ -546,100 +422,72 @@ class Polygraph:
         raise UnknownPolygraph(f"no rule {name!r} in {self.name}")
 
 
-def _twisting_core() -> list[SchemaRule]:
-    return [_twist_involution(), _yang_baxter()]
+_MLL_SIGNATURE = ("twist", "par", "tensor", "ax", "cut", "one", "bot")
 
 
 def polygraph(name: str) -> Polygraph:
+    core: list[Rule] = [_twist_involution(), _yang_baxter()]
     if name == "S":
-        return Polygraph(
-            name="S",
-            wire_alphabet="a single anonymous strand colour",
-            twisting_family="all wires",
-            signature=("twist",),
-            rules=tuple(_twisting_core()),
-        )
+        return Polygraph(name, ("twist",), tuple(core))
+    par = _slides("par", (ParGate(A, B), C), (ParGate(B, C), A))
+    bot = _slides("bot", (BotGate(), A), (BotGate(), A))
     if name == "MLLu_Cut":
-        rules: list[Rule] = []
-        rules += _twisting_core()
-        rules += _ax_slides()
-        rules += _cut_slides()
-        rules += _binary_slides("tensor")
-        rules += _binary_slides("par")
-        rules += _ax_involution(controlled=False)
-        rules += _nullary_slides("bot")
-        rules += _nullary_slides("one")
-        rules += [
+        ax, cut, one = AxGate(A, False), CutGate(A, False), (OneGate(False), A)
+        mult_target = compose_seq(
+            parallel(identity((A,)), single(CutGate(B, False)), identity((nA,))),
+            single(CutGate(A, False)),
+        )
+        rules = core + [
+            *_slides("ax", (ax, B), (ax, B)),
+            *_slides("cut", (cut, B), (cut, B), flip=True),
+            *_slides("tensor", (TensorGate(A, B, False), C), (TensorGate(B, C, False), A)),
+            *par,
+            *_ax_involution(controlled=False),
+            *bot,
+            *_slides("one", one, one),
             _ax_cut_snake(),
             WordRule("ax-cut-ladder-left", _ax_cut_ladder_left),
             WordRule("ax-cut-ladder-right", _ax_cut_ladder_right),
             SigmaRule("ax-cut-snake-sigma", _ax_cut_snake_sigma),
+            _cut_pair("cut-par-tensor", ParGate(A, B), TensorGate(nB, nA, False), mult_target),
+            _cut_pair("cut-tensor-par", TensorGate(A, B, False), ParGate(nB, nA), mult_target),
+            _cut_pair("cut-bot-one", BotGate(), OneGate(False), EMPTY),
+            _cut_pair("cut-one-bot", OneGate(False), BotGate(), EMPTY),
         ]
-        rules += _mult_cut_rules_uncontrolled()
-        rules += _unit_cut_rules_uncontrolled()
-        return Polygraph(
-            name="MLLu_Cut",
-            wire_alphabet="MLL formulas with units",
-            twisting_family="all formulas (total twisting)",
-            signature=("twist", "par", "tensor", "ax", "cut", "one", "bot"),
-            rules=tuple(rules),
-        )
+        return Polygraph(name, _MLL_SIGNATURE, tuple(rules))
+    base = core + par + bot + _ax_involution(controlled=True)
     if name == "MLL_ctrl":
-        rules = []
-        rules += _twisting_core()
-        rules += _binary_slides("par")
-        rules += _nullary_slides("bot")
-        rules += _ax_involution(controlled=True)
-        return Polygraph(
-            name="MLL_ctrl",
-            wire_alphabet="MLL formulas with units plus control colours L, R",
-            twisting_family="formulas only; L and R never twist",
-            signature=("twist", "par", "tensor", "ax", "cut", "one", "bot"),
-            rules=tuple(rules),
-        )
-    if name in ("MLL_big", "Sem"):
-        base = list(polygraph("MLL_ctrl").rules)
-        big_rules: list[Rule] = [_big_annihilate()]
-        for kind, find, apply in (
-            ("big-collapse", bigtwist.find_collapse, bigtwist.apply_collapse),
-            ("untangle", bigtwist.find_untangle, bigtwist.apply_untangle),
-        ):
-            big_rules += [
-                ProceduralRule(f"{kind}-{side}", functools.partial(find, side=side), apply)
-                for side in ("left", "right")
-            ]
-        big_rules.append(
-            ProceduralRule(
-                "big-intro",
-                bigtwist.find_big_intro,
-                bigtwist.apply_big_intro,
-                note="eliminates one crossing split; source must be MLL_ctrl-irreducible and B-free",
-            )
-        )
-        if name == "MLL_big":
-            return Polygraph(
-                name="MLL_big",
-                wire_alphabet="MLL formulas with units plus control colours L, R",
-                twisting_family="formulas only; L and R never twist",
-                signature=("twist", "par", "tensor", "ax", "cut", "one", "bot", "big"),
-                rules=tuple(base + big_rules),
-            )
-        cut_rules: list[Rule] = [
-            _cut_ax_left(),
-            _cut_ax_right(),
-            WordRule("cut-tensor-par", _cut_tensor_par),
-            WordRule("cut-par-tensor", _cut_par_tensor),
-            _cut_bot_one(),
-            _cut_one_bot(),
+        return Polygraph(name, _MLL_SIGNATURE, tuple(base))
+    if name not in ("MLL_big", "Sem"):
+        raise UnknownPolygraph(name)
+    big_rules: list[Rule] = [_big_annihilate()]
+    for kind, find, apply in (
+        ("big-collapse", bigtwist.find_collapse, bigtwist.apply_collapse),
+        ("untangle", bigtwist.find_untangle, bigtwist.apply_untangle),
+    ):
+        big_rules += [
+            ProceduralRule(f"{kind}-{side}", functools.partial(find, side=side), apply)
+            for side in ("left", "right")
         ]
-        return Polygraph(
-            name="Sem",
-            wire_alphabet="MLL formulas with units plus control colours L, R",
-            twisting_family="formulas only; L and R never twist",
-            signature=("twist", "par", "tensor", "ax", "cut", "one", "bot", "big"),
-            rules=tuple(base + cut_rules + big_rules),
+    big_rules.append(
+        ProceduralRule(
+            "big-intro",
+            bigtwist.find_big_intro,
+            bigtwist.apply_big_intro,
+            note="eliminates one crossing split; source must be MLL_ctrl-irreducible and B-free",
         )
-    raise UnknownPolygraph(name)
+    )
+    if name == "MLL_big":
+        return Polygraph(name, _MLL_SIGNATURE + ("big",), tuple(base + big_rules))
+    cut_rules: list[Rule] = [
+        _cut_ax_left(),
+        _cut_ax_right(),
+        WordRule("cut-tensor-par", _cut_tensor_par),
+        WordRule("cut-par-tensor", _cut_par_tensor),
+        _cut_bot_one(),
+        _cut_one_bot(),
+    ]
+    return Polygraph(name, _MLL_SIGNATURE + ("big",), tuple(base + cut_rules + big_rules))
 
 
 POLYGRAPH_NAMES = ("S", "MLLu_Cut", "MLL_ctrl", "MLL_big", "Sem")

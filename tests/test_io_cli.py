@@ -221,6 +221,18 @@ def test_cli_check_parses_stacked_bots(tmp_path, n):
     assert r.stdout.rstrip() == "|- " + ", ".join(["1"] + ["_"] * n)
 
 
+def test_cli_formula_nested_too_deeply_is_a_parse_error(tmp_path):
+    # exit 1 is a negative verdict, so a reader's RecursionError must not surface as one
+    deep = "(a*" * 3000 + "a" + ")" * 3000
+    der, diag = tmp_path / "d.txt", tmp_path / "d.diag"
+    der.write_text(f"(ax {deep})\n")
+    diag.write_text(f"proofdiag-diagram v1\nsignature: controlled\ninput: -\nlayer: gate ax({deep})\n")
+    for args in (("check", str(der)), ("seq", str(diag))):
+        r = _cli(*args)
+        assert r.returncode == 2, args
+        assert r.stderr == "parse error: input nests too deeply\n", r.stderr
+
+
 def test_cli_represent_and_seq_stacked_bots(tmp_path):
     # one rule per bot: representing the derivation must not recurse per rule
     n = 1500
