@@ -316,8 +316,8 @@ def _ax_cut_snake_sigma(w: int, sigma: Permutation) -> tuple[Diagram, Diagram]:
 
 def _cut_pair(name: str, left: Gate, right: Gate, target: Diagram) -> SchemaRule:
     """A principal cut of two uncontrolled gates, ``left`` against ``right``."""
-    src = compose_seq(compose_par(single(left), single(right)), single(CutGate(left.outputs[0], False)))
-    return SchemaRule(name, src, target)
+    cut = single(CutGate(left.outputs[0], False))
+    return SchemaRule(name, compose_seq(compose_par(single(left), single(right)), cut), target)
 
 
 # ---------------------------------------------------------------------------

@@ -226,7 +226,9 @@ def test_cli_formula_nested_too_deeply_is_a_parse_error(tmp_path):
     deep = "(a*" * 3000 + "a" + ")" * 3000
     der, diag = tmp_path / "d.txt", tmp_path / "d.diag"
     der.write_text(f"(ax {deep})\n")
-    diag.write_text(f"proofdiag-diagram v1\nsignature: controlled\ninput: -\nlayer: gate ax({deep})\n")
+    diag.write_text(
+        f"proofdiag-diagram v1\nsignature: controlled\ninput: -\nlayer: gate ax({deep})\n"
+    )
     for args in (("check", str(der)), ("seq", str(diag))):
         r = _cli(*args)
         assert r.returncode == 2, args
