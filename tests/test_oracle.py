@@ -4,8 +4,10 @@ import random
 import pytest
 
 from proofdiag.formula import Tensor, atom, negate
-from proofdiag.diagram import gate_count, interchange_canonical_form as canon
+from proofdiag.diagram import DiagramError, gate_count, interchange_canonical_form as canon
+from proofdiag.diagramio import parse_derivation
 from proofdiag.interp import cut_weight
+from proofdiag.matching import MatchError
 from proofdiag.perm import Permutation
 from proofdiag.polygraph import polygraph
 from proofdiag.sequent import (
@@ -54,6 +56,40 @@ def test_eliminate_axiom_cut_matches_plain_normalization():
     nf, _ = eliminate_cuts(represent(d))
     nf0, _ = eliminate_cuts(represent(d0))
     assert nf == nf0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=MatchError,
+    reason="after cut-ax-left, big-intro flips an axiom and asks rewrite_block for "
+    "ops 4, 5, 6, 8 and 10 of the flipped diagram's 11.  They form a convex set, "
+    "and adjacent swaps reach the order 0-6, 8, 10, 7, 9, but _bubble_block moves "
+    "one unmatched op at a time: op 7, a tensor on op 6's output, cannot pass op 6 "
+    "going up, nor op 9, a par on op 7's output, going down",
+)
+def test_eliminate_cuts_bubbles_a_convex_intro_block():
+    d = parse_derivation(
+        "(cut (par 2 (tensor (ax a) (tensor (ex (3,1,2) (tensor (ax a^) (ax a))) (ax a^)))) (ax a^))"
+    )
+    nf, _ = eliminate_cuts(represent(d))
+    assert gate_count(nf, {"cut", "big"}) == 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=DiagramError,
+    reason="a rule is missing: the normal form keeps big([a^,a,R,L,1],[b,b^,R,L,a,a^]), "
+    "with two closed branches feeding each sheaf.  big-collapse needs one gate "
+    "producing the whole sheaf, and untangle needs all of a gate's outputs strictly "
+    "inside it, so no B-gate rule applies",
+)
+def test_eliminate_cuts_clears_a_bgate_over_two_closed_branches():
+    d = parse_derivation(
+        "(cut (tensor (tensor (ex (3,2,1) (bot (tensor (ax a^) (tensor (par 1 (ax a^)) (one)))))"
+        " (ax b)) (ax a)) (ax a))"
+    )
+    nf, _ = eliminate_cuts(represent(d))
+    assert gate_count(nf, {"cut", "big"}) == 0
 
 
 def test_eliminate_unit_cut():

@@ -17,6 +17,7 @@ import pytest
 
 from conftest import A, B, random_cutfree, random_with_cut
 from sim_model import _rebuild, model_sim_neighbors
+from proofdiag.diagramio import parse_derivation
 from proofdiag.formula import BOT, ONE, Par, Tensor, negate
 from proofdiag.perm import Permutation
 from proofdiag.sequent import (
@@ -152,3 +153,24 @@ def test_sim_neighbors_on_exchanges_over_inner_cut_premises():
     tally = _tally(_exchange_over_cut_premise(rng) for _ in range(300))
     # the model raises on most of these; the rest still agree with it
     assert tally["crash"] >= 100 and tally["agree"] >= 20
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="no move leads back: a pushed exchange fuses with another, or the par "
+    "gap kept in sequent._swap drops the move; ROADMAP item 7's inverse moves mend both",
+)
+@pytest.mark.parametrize(
+    "d, n",
+    [
+        # the exchanges pushed below the bot cancel each other
+        ("(tensor (ax a) (ex (2,1,3) (bot (ex (2,1) (bot (one))))))", "(tensor (ax a) (bot (bot (one))))"),
+        # the par gap: a par whose principal ends a tensor's left premise
+        ("(par 1 (tensor (bot (bot (one))) (ax b)))", "(tensor (par 1 (bot (bot (one)))) (ax b))"),
+    ],
+)
+def test_sim_neighbors_lead_back_on_known_asymmetric_pairs(d, n):
+    d, n = parse_derivation(d), parse_derivation(n)
+    assert n in sim_neighbors(d)
+    assert d in sim_neighbors(n)

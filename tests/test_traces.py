@@ -6,8 +6,12 @@ are compared with values recorded before the rule engine was refactored;
 a change to any of them is a change of behaviour.  So are the derivation
 layer's results (printing, parsing, ``sim_neighbors``, ``cut_step``,
 ``represent`` and ``sequentialize``), recorded before validity moved into
-``Derivation``.  Site fingerprints are
-left out: they are ``hash(phi)``, which is salted per process.
+``Derivation``.  So are the paths of the procedural rules (each case of the
+B-gate introduction, of the collapse and of the untangle relations) and the
+proof-structure reading, on diagrams that reach every one of those paths,
+recorded before the procedural rewrites were built in one ``OpSeq``.  Site
+fingerprints are left out: they are ``hash(phi)``, which is salted per
+process.
 """
 import hashlib
 import json
@@ -20,12 +24,24 @@ from pathlib import Path
 import pytest
 
 from conftest import _handmade, random_with_cut
-from proofdiag.diagram import identity
+from proofdiag.diagram import BigGate, L, ParGate, R, compose_seq, identity, parallel, single
 from proofdiag.diagramio import derivation_text, diagram_text, parse_derivation, polygraph_rules_text
-from proofdiag.formula import atom
+from proofdiag.formula import atom, negate
+from proofdiag.oracle import untangle
+from proofdiag.perm import Permutation
 from proofdiag.polygraph import POLYGRAPH_NAMES, WORD_MAX_WIDTH, normalize, polygraph
-from proofdiag.sequent import cut_step, derivation_str, find_cut_paths, sim_neighbors, tensor
-from proofdiag.translate import represent, sequentialize
+from proofdiag.sequent import (
+    ax,
+    cut_step,
+    derivation_str,
+    exchange,
+    find_cut_paths,
+    one,
+    par,
+    sim_neighbors,
+    tensor,
+)
+from proofdiag.translate import represent, sequentialize, to_proof_structure
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -34,6 +50,8 @@ SYSTEMS = (("Sem", "controlled"), ("MLL_big", "controlled"), ("MLLu_Cut", "uncon
 TRACE_DIGEST = "02c09e1d1741ea005e72cf35b6106a615814b1c1235d655a74623612b443dd59"
 
 DERIVATION_DIGEST = "79d81561fc0d03f7d179223e561ca8daf0919da8de442418d337f5b2f081dca1"
+
+PROCEDURAL_DIGEST = "4ac1f80a3f8d361b0c86a93f6dc64057b5847ec6c342d85db9184c1bbd9d5375"
 
 SCHEMA_DIGEST = "ad6b6e3915bac4acb4fbb5315ac916e59bbdb7d84ae990c2655a310e11d2fb91"
 
@@ -61,6 +79,61 @@ def test_corpus_traces_digest(corpus):
             for rule_name, site in trace.steps:
                 h.update(f"{_step_data(rule_name, site)!r}\n".encode())
     assert h.hexdigest() == TRACE_DIGEST
+
+
+def _procedural_diagrams() -> list:
+    """Diagrams whose normal forms take every path of the procedural rules."""
+    a, b, sw = atom("a"), atom("b"), Permutation((2, 1))
+    right_first = tensor(exchange(tensor(exchange(ax(a), sw), one()), sw), one())
+    mirror = tensor(one(), exchange(tensor(one(), exchange(ax(a), sw)), sw))
+    double = tensor(exchange(tensor(right_first, one()), sw), one())
+    phi, psi = represent(par(ax(a))), represent(one())
+    closed = compose_seq(parallel(phi, psi), single(BigGate(phi.output[1:-1], psi.output[1:-1])))
+    pa = ParGate(a, negate(a))
+    open_left = compose_seq(
+        parallel(identity((L,)), single(pa), identity((R, L, b, R))), single(BigGate(pa.outputs, (b,)))
+    )
+    open_right = compose_seq(
+        parallel(identity((L, b, R, L)), single(pa), identity((R,))), single(BigGate((b,), pa.outputs))
+    )
+    return [represent(d) for d in (right_first, mirror, double)] + [closed, open_left, open_right]
+
+
+def test_procedural_rules_digest(corpus):
+    h = hashlib.sha256()
+    paths = set()
+
+    def record(head, out, steps):
+        h.update(f"{head} {out!r}\n".encode())
+        for rule_name, site in steps:
+            h.update(f"{_step_data(rule_name, site)!r}\n".encode())
+            if rule_name == "big-intro":
+                paths.add((rule_name, "flipped" if site.payload[3] >= 0 else site.payload[0]))
+            elif rule_name.startswith(("big-collapse", "untangle")):
+                paths.add((rule_name, site.payload[0]))
+
+    for i, phi in enumerate(_procedural_diagrams()):
+        for name in ("MLL_big", "Sem"):
+            nf, trace = normalize(polygraph(name), phi)
+            record(f"{name} {i}", nf, trace.steps)
+        try:
+            out, trace = untangle(phi)
+        except Exception as e:
+            h.update(f"untangle {i} {type(e).__name__}\n".encode())
+        else:
+            record(f"untangle {i}", out, trace.steps)
+    for d in corpus:
+        h.update(to_proof_structure(represent(d, "uncontrolled")).graph_text().encode())
+    assert paths == {
+        ("big-intro", "left"),
+        ("big-intro", "right"),
+        ("big-intro", "flipped"),
+        ("big-collapse-left", "left"),
+        ("big-collapse-right", "right"),
+        ("untangle-left", "left"),
+        ("untangle-right", "right"),
+    }
+    assert h.hexdigest() == PROCEDURAL_DIGEST
 
 
 def _derivation_or_error(f, *args) -> str:
