@@ -32,6 +32,7 @@ from proofdiag.perm import Permutation
 from proofdiag.polygraph import POLYGRAPH_NAMES, WORD_MAX_WIDTH, normalize, polygraph
 from proofdiag.sequent import (
     ax,
+    bot,
     cut_step,
     derivation_str,
     exchange,
@@ -51,7 +52,7 @@ TRACE_DIGEST = "02c09e1d1741ea005e72cf35b6106a615814b1c1235d655a74623612b443dd59
 
 DERIVATION_DIGEST = "79d81561fc0d03f7d179223e561ca8daf0919da8de442418d337f5b2f081dca1"
 
-PROCEDURAL_DIGEST = "4ac1f80a3f8d361b0c86a93f6dc64057b5847ec6c342d85db9184c1bbd9d5375"
+PROCEDURAL_DIGEST = "f2ff410485e62c5a186c2e595a78a7459265ec0524ba6572bfd26421d293fda1"
 
 SCHEMA_DIGEST = "ad6b6e3915bac4acb4fbb5315ac916e59bbdb7d84ae990c2655a310e11d2fb91"
 
@@ -87,16 +88,18 @@ def _procedural_diagrams() -> list:
     right_first = tensor(exchange(tensor(exchange(ax(a), sw), one()), sw), one())
     mirror = tensor(one(), exchange(tensor(one(), exchange(ax(a), sw)), sw))
     double = tensor(exchange(tensor(right_first, one()), sw), one())
+    # a right case whose two swapped blocks differ in width
+    pair = exchange(tensor(tensor(ax(a), one()), ax(negate(a))), Permutation((2, 3, 1)))
+    uneven = bot(tensor(one(), bot(pair)))
     phi, psi = represent(par(ax(a))), represent(one())
     closed = compose_seq(parallel(phi, psi), single(BigGate(phi.output[1:-1], psi.output[1:-1])))
     pa = ParGate(a, negate(a))
-    open_left = compose_seq(
-        parallel(identity((L,)), single(pa), identity((R, L, b, R))), single(BigGate(pa.outputs, (b,)))
-    )
-    open_right = compose_seq(
-        parallel(identity((L, b, R, L)), single(pa), identity((R,))), single(BigGate((b,), pa.outputs))
-    )
-    return [represent(d) for d in (right_first, mirror, double)] + [closed, open_left, open_right]
+    above_left = parallel(identity((L,)), single(pa), identity((R, L, b, R)))
+    above_right = parallel(identity((L, b, R, L)), single(pa), identity((R,)))
+    open_left = compose_seq(above_left, single(BigGate(pa.outputs, (b,))))
+    open_right = compose_seq(above_right, single(BigGate((b,), pa.outputs)))
+    derived = [represent(d) for d in (right_first, mirror, double, uneven)]
+    return derived + [closed, open_left, open_right]
 
 
 def test_procedural_rules_digest(corpus):
