@@ -13,8 +13,10 @@ then drive every gate of the two blocks through the B-gate one at a time
 (strictly decreasing the number of gates above it) until the bracket
 producers pass through and the B-gate disappears.
 
-The split patterns here are reconstructed from prose; the figures in the
-source material are unreadable.  Every rewrite is guarded by an exact
+Every target is built by firing its gates into one ``OpSeq`` at computed
+positions, and wires are walked through twists with ``OpSeq.chase``.  The
+split patterns here are reconstructed from prose; the figures in the source
+material are unreadable.  Every rewrite is guarded by an exact
 boundary-preservation check.
 """
 from __future__ import annotations
@@ -34,11 +36,7 @@ from .diagram import (
     OpSeq,
     TensorGate,
     TwistGate,
-    compose_seq,
     gate_count,
-    identity,
-    parallel,
-    single,
 )
 from .matching import MatchSite, rewrite_block, site_of, sorted_sites
 from .perm import Permutation, canonical_perm_diagram, ladder_left_word, ladder_right_word
@@ -56,50 +54,29 @@ def _is_split(gate) -> bool:
     return isinstance(gate, (TensorGate, CutGate)) and gate.controlled
 
 
+def _fired(word, *firings) -> Diagram:
+    """The diagram of the (gate, position) firings, in order, over word."""
+    seq = OpSeq(word)
+    for gate, pos in firings:
+        seq.fire_at(gate, pos)
+    return seq.to_diagram()
+
+
 # ---------------------------------------------------------------------------
 # Wire tracing
 
 
-def _twist_step_up(tseq: OpSeq, tok: int):
-    """Follow tok one twist upward; None when the producer is not a twist.
-
-    Returns (op index, predecessor token, crossed token, moved_right) where
-    moved_right says the wire moved left-to-right on the way down.
-    """
-    pi = tseq.producer.get(tok)
-    if pi is None:
-        return None
-    op = tseq.ops[pi]
-    if not isinstance(op.gate, TwistGate):
-        return None
-    port = op.out_tokens.index(tok)
-    if port == 1:
-        return pi, op.in_tokens[0], op.in_tokens[1], True
-    return pi, op.in_tokens[1], op.in_tokens[0], False
-
-
-def _trace_down(tseq: OpSeq, tok: int) -> Optional[tuple[int, int]]:
-    """Final non-twist consumer of a wire, following twists downward."""
-    while True:
-        ci = tseq.consumer.get(tok)
-        if ci is None:
-            return None
-        op = tseq.ops[ci]
-        if not isinstance(op.gate, TwistGate):
-            return ci, op.in_tokens.index(tok)
-        port = op.in_tokens.index(tok)
-        tok = op.out_tokens[1 - port]
-
-
 def _chain_up(tseq: OpSeq, tok: int) -> list[tuple[int, int, int, bool]]:
+    """The twists above a wire, followed upward: (op index, predecessor
+    token, crossed token, moved_right) each, where moved_right says the wire
+    moved left-to-right on the way down."""
     chain = []
-    cur = tok
-    while True:
-        step = _twist_step_up(tseq, cur)
-        if step is None:
-            return chain
-        chain.append(step)
-        cur = step[1]
+    while (pi := tseq.producer.get(tok)) is not None and isinstance(tseq.ops[pi].gate, TwistGate):
+        op = tseq.ops[pi]
+        port = op.out_tokens.index(tok)
+        tok = op.in_tokens[1 - port]
+        chain.append((pi, tok, op.in_tokens[port], port == 1))
+    return chain
 
 
 # ---------------------------------------------------------------------------
@@ -159,20 +136,15 @@ def crossing_splits_of(phi: Diagram) -> list[Split]:
                 bp = tseq.producer.get(other)
                 if bp is None or not _is_split(tseq.ops[bp].gate):
                     continue
-                hit = False
-                for (ti2, pred2, other2, _mr2) in chain[idx + 1 :]:
-                    down = _trace_down(tseq, other2)
-                    if down is not None and down == (bp, beta_port):
-                        hit = True
-                        break
+                into_beta = (bp, tseq.ops[bp].in_tokens[beta_port])
+                hit = any(tseq.chase(c[2]) == into_beta for c in chain[idx + 1 :])
                 if not hit and idx == len(chain) - 1:
                     leg = _axiom_other_leg(tseq, pred)
-                    if leg is not None and not _preferred_axiom(
-                        tseq.ops[leg[0]].gate.formula
-                    ):
-                        down = _trace_down(tseq, leg[1])
-                        if down is not None and down == (bp, beta_port):
-                            hit = True
+                    hit = (
+                        leg is not None
+                        and not _preferred_axiom(tseq.ops[leg[0]].gate.formula)
+                        and tseq.chase(leg[1]) == into_beta
+                    )
                 if hit:
                     splits.append(Split(ai, bp, case, tuple(chain)))
                     break
@@ -213,27 +185,15 @@ def apply_untangle(phi: Diagram, site: MatchSite) -> Diagram:
     gates = phi.gate_list()
     g, b = gates[gi], gates[bi]
     lw, rw = tuple(b.left_word), tuple(b.right_word)
-    k_in, k_out = len(g.inputs), len(g.outputs)
+    k_out = len(g.outputs)
     if side == "left":
-        new_lw = lw[:j] + tuple(g.inputs) + lw[j + k_out :]
-        nb = BigGate(new_lw, rw)
+        nb = BigGate(lw[:j] + tuple(g.inputs) + lw[j + k_out :], rw)
         refire_at = 3 + len(rw) + j  # inside the second output block
     else:
-        new_rw = rw[:j] + tuple(g.inputs) + rw[j + k_out :]
-        nb = BigGate(lw, new_rw)
+        nb = BigGate(lw, rw[:j] + tuple(g.inputs) + rw[j + k_out :])
         refire_at = 1 + j  # inside the first output block
-
-    def target(local: Diagram) -> Diagram:
-        step1 = single(nb)
-        word = step1.output
-        step2 = parallel(
-            identity(word[:refire_at]),
-            single(g),
-            identity(word[refire_at + k_in :]),
-        )
-        return compose_seq(step1, step2)
-
-    return rewrite_block(phi, site.g_ops, target)
+    firings = (nb, 0), (g, refire_at)
+    return rewrite_block(phi, site.g_ops, lambda local: _fired(local.input, *firings))
 
 
 def find_collapse(phi: Diagram, side: str) -> list[MatchSite]:
@@ -270,9 +230,7 @@ def apply_collapse(phi: Diagram, site: MatchSite) -> Diagram:
     g = phi.gate_list()[site.g_ops[0]]
 
     def target(local: Diagram) -> Diagram:
-        if side == "left":
-            return parallel(identity(local.input), single(g))
-        return parallel(single(g), identity(local.input))
+        return _fired(local.input, (g, len(local.input) if side == "left" else 0))
 
     return rewrite_block(phi, site.g_ops, target)
 
@@ -293,52 +251,35 @@ def _bracket_close(labels, start: int) -> int:
     raise DiagramError("unbalanced control brackets")
 
 
-def _supported_intro(tseq: OpSeq, sp: Split) -> Optional[tuple]:
+def _supported_intro(tseq: OpSeq, sp: Split) -> Optional[tuple[set, int]]:
     """Check the tight shape this implementation rewrites; see module doc.
 
     Case 'left': alpha.in[0]'s chain is a ladder over [Q-rest..., beta.out],
     then one twist against beta's left input which feeds beta directly - or
     the ladder ends at an axiom leg whose twin feeds beta (the involuted
-    form); the latter is exposed by flipping the axiom first.
+    form); the latter is exposed by flipping the axiom first.  Returns the
+    site's ops and the axiom to flip (-1 for none).
     """
     chain = sp.chain
     want_right = sp.case == "left"
     beta_port = 0 if sp.case == "left" else 3
-    k = None
-    for idx, (ti, pred, other, mr) in enumerate(chain):
-        if tseq.producer.get(other) == sp.beta:
-            k = idx
-            break
-    if k is None:
+    k = next((i for i, c in enumerate(chain) if tseq.producer.get(c[2]) == sp.beta), None)
+    if k is None or any(c[3] != want_right for c in chain[: k + 1]):
         return None
-    for (ti, pred, other, mr) in chain[: k + 1]:
-        if mr != want_right:
-            return None
-    bop = tseq.ops[sp.beta]
+    members = {sp.alpha, sp.beta, *(c[0] for c in chain[: k + 1])}
+    beta_in = tseq.ops[sp.beta].in_tokens[beta_port]
     if len(chain) >= k + 2:
-        t0 = chain[k + 1]
-        if t0[3] == want_right:  # the top crossing runs the other way
+        ti0, _, _, mr = chain[k + 1]
+        # the top crossing must run the other way, against beta's input
+        if mr == want_right or beta_in not in tseq.ops[ti0].out_tokens:
             return None
-        ti0 = t0[0]
-        if bop.in_tokens[beta_port] not in tseq.ops[ti0].out_tokens:
-            return None
-        ladder = [c[0] for c in chain[: k + 1]]
-        return (sp.case, ladder, ti0, None, k)
+        return members | {ti0}, -1
     # axiom-involuted form: the wire above the ladder is an axiom leg whose
     # twin feeds beta's matching input directly
-    top_pred = chain[k][1]
-    leg = _axiom_other_leg(tseq, top_pred)
-    if leg is None:
+    leg = _axiom_other_leg(tseq, chain[k][1])
+    if leg is None or _preferred_axiom(tseq.ops[leg[0]].gate.formula) or leg[1] != beta_in:
         return None
-    ax_op, twin = leg
-    if _preferred_axiom(tseq.ops[ax_op].gate.formula):
-        return None
-    if tseq.consumer.get(twin) != sp.beta:
-        return None
-    if bop.in_tokens[beta_port] != twin:
-        return None
-    ladder = [c[0] for c in chain[: k + 1]]
-    return (sp.case, ladder, None, ax_op, k)
+    return members | {leg[0]}, leg[0]
 
 
 def find_big_intro(phi: Diagram) -> list[MatchSite]:
@@ -349,39 +290,26 @@ def find_big_intro(phi: Diagram) -> list[MatchSite]:
     sites = []
     for sp in crossing_splits_of(phi):
         sup = _supported_intro(tseq, sp)
-        if sup is None:
-            continue
-        case, ladder, t0, ax_op, k = sup
-        members = {sp.alpha, sp.beta, *ladder}
-        if t0 is not None:
-            members.add(t0)
-        if ax_op is not None:
-            members.add(ax_op)
-        g_ops = tuple(sorted(members))
-        payload = (case, sp.alpha, sp.beta, -1 if ax_op is None else ax_op)
-        sites.append(site_of(phi, "big-intro", g_ops, payload=payload))
+        if sup is not None:
+            members, ax_op = sup
+            payload = (sp.case, sp.alpha, sp.beta, ax_op)
+            sites.append(site_of(phi, "big-intro", tuple(sorted(members)), payload=payload))
     return sorted_sites(sites)
 
 
 def _flip_axiom(phi: Diagram, ax_idx: int) -> Diagram:
     """Un-apply the axiom involution: Ax(A) becomes Ax(A^) plus a twist."""
     f = phi.gate_list()[ax_idx].formula
-
-    def target(local: Diagram) -> Diagram:
-        flipped = single(AxGate(negate(f), True))
-        word = flipped.output
-        tw = parallel(
-            identity(word[:1]), single(TwistGate(negate(f), f)), identity(word[3:])
-        )
-        return compose_seq(flipped, tw)
-
-    return rewrite_block(phi, (ax_idx,), target)
+    flipped = _fired((), (AxGate(negate(f), True), 0), (TwistGate(negate(f), f), 1))
+    return rewrite_block(phi, (ax_idx,), lambda local: flipped)
 
 
-def _block_swap_perm(n1: int, n2: int) -> Permutation:
-    """Permutation moving a block of n1 wires past a block of n2 wires."""
+def _swap_blocks(seq: OpSeq, at: int, n1: int, n2: int) -> None:
+    """Fire the canonical twists moving the n1 live wires from ``at`` past
+    the n2 after them."""
     images = [i + n2 for i in range(1, n1 + 1)] + [j - n1 for j in range(n1 + 1, n1 + n2 + 1)]
-    return Permutation(tuple(images))
+    word = seq.output[at : at + n1 + n2]
+    seq.splice(canonical_perm_diagram(Permutation(tuple(images)), word), at)
 
 
 def apply_big_intro(phi: Diagram, site: MatchSite) -> Diagram:
@@ -396,7 +324,12 @@ def apply_big_intro(phi: Diagram, site: MatchSite) -> Diagram:
                 return apply_big_intro(flipped, s)
         raise DiagramError("axiom flip did not expose the crossing split")
     gates = phi.gate_list()
-    alpha_gate, beta_gate = gates[alpha], gates[beta]
+
+    def split(original, left, right):
+        # a tensor or a cut, as the original splitting gate is
+        if isinstance(original, TensorGate):
+            return TensorGate(left, right, True)
+        return CutGate(left, True)
 
     if case == "left":
         def extend(labels, lo, hi):
@@ -409,43 +342,22 @@ def apply_big_intro(phi: Diagram, site: MatchSite) -> Diagram:
         def target(local: Diagram) -> Diagram:
             w = local.input
             # (P, X, R | L q... R | L s... R)
-            qs = 3
-            qe = _bracket_close(w, qs)
-            ss = qe + 1
-            se = _bracket_close(w, ss)
+            qe = _bracket_close(w, 3)
+            se = _bracket_close(w, qe + 1)
             if se != len(w) - 1:
                 raise DiagramError("crossing-split window mis-shaped")
-            Qw, Sw = w[qs + 1 : qe], w[ss + 1 : se]
-            P, X = w[0], w[1]
-            big = BigGate(Qw, Sw)
-            step1 = parallel(identity(w[:3]), single(big))
-            w1 = step1.output  # P X R | L Sw R | L Qw R
-            if isinstance(alpha_gate, TensorGate):
-                alpha2 = TensorGate(X, Sw[0], True)
-            else:
-                alpha2 = CutGate(X, True)
-            step2 = parallel(identity(w1[:1]), single(alpha2), identity(w1[5:]))
-            w2 = step2.output  # P a'... Srest R L Qw R
-            aout = alpha2.outputs
-            lad_word = (P,) + aout + Sw[1:]
-            step3 = parallel(ladder_left_word(lad_word), identity(w2[len(lad_word):]))
-            w3 = step3.output
-            if isinstance(beta_gate, TensorGate):
-                beta2 = TensorGate(P, Qw[0], True)
-            else:
-                beta2 = CutGate(P, True)
-            ppos = len(lad_word) - 1
-            step4 = parallel(identity(w3[:ppos]), single(beta2), identity(w3[ppos + 4 :]))
-            w4 = step4.output  # aout Srest bout Qrest R
-            bout = beta2.outputs
-            n1 = len(aout) + len(Sw[1:])
-            n2 = len(bout) + len(Qw[1:])
-            perm = _block_swap_perm(n1, n2)
-            step5 = parallel(
-                canonical_perm_diagram(perm, w4[: n1 + n2]), identity(w4[n1 + n2 :])
-            )
-            out = compose_seq(compose_seq(compose_seq(compose_seq(step1, step2), step3), step4), step5)
-            return out
+            Qw, Sw = w[4:qe], w[qe + 2 : se]
+            seq = OpSeq(w)
+            seq.fire_at(BigGate(Qw, Sw), 3)  # P X R | L Sw R | L Qw R
+            alpha2 = split(gates[alpha], w[1], Sw[0])
+            seq.fire_at(alpha2, 1)  # P aout Srest R L Qw R
+            # carry P rightward over (aout, S-rest) to meet the Q block
+            seq.splice(ladder_left_word((w[0],) + alpha2.outputs + Sw[1:]), 0)
+            n1 = len(alpha2.outputs) + len(Sw) - 1  # aout Srest
+            beta2 = split(gates[beta], w[0], Qw[0])
+            seq.fire_at(beta2, n1)  # aout Srest bout Qrest R
+            _swap_blocks(seq, 0, n1, len(beta2.outputs) + len(Qw) - 1)
+            return seq.to_diagram()
 
         return rewrite_block(phi, site.g_ops, target, extend)
 
@@ -469,49 +381,23 @@ def apply_big_intro(phi: Diagram, site: MatchSite) -> Diagram:
 
     def target(local: Diagram) -> Diagram:
         w = local.input
-        # (L T... Tlast R | L P... Plast R | L q Y Q1 rest R) -- brackets:
-        ts = 0
-        te = _bracket_close(w, ts)
-        ps = te + 1
-        pe = _bracket_close(w, ps)
-        qs = pe + 1
-        qe = _bracket_close(w, qs)
+        # (L T... Tlast R | L P... Plast R | L Y Q1 rest R)
+        te = _bracket_close(w, 0)
+        pe = _bracket_close(w, te + 1)
+        qe = _bracket_close(w, pe + 1)
         if qe != len(w) - 1:
             raise DiagramError("crossing-split window mis-shaped")
-        Tw, Pw, Qw = w[ts + 1 : te], w[ps + 1 : pe], w[qs + 1 : qe]
-        Y, Q1, Qrest = Qw[0], Qw[1], Qw[2:]
-        big = BigGate(Tw, Pw)
-        step1 = parallel(single(big), identity(w[qs:]))
-        w1 = step1.output  # L Pw R | L Tw R | L Y Q1 rest R
-        if isinstance(alpha_gate, TensorGate):
-            alpha2 = TensorGate(Tw[-1], Y, True)
-        else:
-            alpha2 = CutGate(Tw[-1], True)
-        apos = 2 + len(Pw) + len(Tw)
-        step2 = parallel(identity(w1[:apos]), single(alpha2), identity(w1[apos + 4 :]))
-        w2 = step2.output  # L Pw R | L Trest aout Q1 rest R
-        aout = alpha2.outputs
-        # carry Q1 leftward over (aout, T-rest) to sit after the block's L
-        lad_word = w2[3 + len(Pw) : 3 + len(Pw) + len(Tw) - 1 + len(aout) + 1]
-        lad = ladder_right_word(lad_word)
-        step3 = parallel(identity(w2[: 3 + len(Pw)]), lad, identity(w2[3 + len(Pw) + len(lad_word) :]))
-        w3 = step3.output  # L Pw R | L Q1 Trest aout rest R
-        if isinstance(beta_gate, TensorGate):
-            beta2 = TensorGate(Pw[-1], Q1, True)
-        else:
-            beta2 = CutGate(Pw[-1], True)
-        bpos = len(Pw)
-        step4 = parallel(identity(w3[:bpos]), single(beta2), identity(w3[bpos + 4 :]))
-        w4 = step4.output  # L Prest bout Trest aout Qrest R
-        bout = beta2.outputs
-        n1 = len(Pw) - 1 + len(bout)
-        n2 = len(Tw) - 1 + len(aout)
-        perm = _block_swap_perm(n1, n2)
-        step5 = parallel(
-            identity(w4[:1]),
-            canonical_perm_diagram(perm, w4[1 : 1 + n1 + n2]),
-            identity(w4[1 + n1 + n2 :]),
-        )
-        return compose_seq(compose_seq(compose_seq(compose_seq(step1, step2), step3), step4), step5)
+        Tw, Pw, Qw = w[1:te], w[te + 2 : pe], w[pe + 2 : qe]
+        seq = OpSeq(w)
+        seq.fire_at(BigGate(Tw, Pw), 0)  # L Pw R | L Tw R | L Y Q1 rest R
+        alpha2 = split(gates[alpha], Tw[-1], Qw[0])
+        seq.fire_at(alpha2, 2 + len(Pw) + len(Tw))  # L Pw R | L Trest aout Q1 rest R
+        # carry Q1 leftward over (T-rest, aout) to sit after the block's L
+        lad = 3 + len(Pw)
+        seq.splice(ladder_right_word(seq.output[lad : lad + len(Tw) + len(alpha2.outputs)]), lad)
+        beta2 = split(gates[beta], Pw[-1], Qw[1])
+        seq.fire_at(beta2, len(Pw))  # L Prest bout Trest aout Qrest R
+        _swap_blocks(seq, 1, len(Pw) - 1 + len(beta2.outputs), len(Tw) - 1 + len(alpha2.outputs))
+        return seq.to_diagram()
 
     return rewrite_block(phi, site.g_ops, target, extend)

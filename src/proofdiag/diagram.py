@@ -518,8 +518,10 @@ class OpSeq:
     """A diagram as a sequence of single-gate firings over a token word.
 
     Tokens are integers; ``producer[t]``/``consumer[t]`` give the op index (or
-    None for boundary).  Used by the matching engine to reorder independent
-    firings and splice rule instances.
+    None for boundary).  It is the one builder of diagrams gate by gate: the
+    matching engine reorders independent firings and splices rule instances
+    with it, and the procedural rewrites fire their targets into it and walk
+    wires through twists with ``chase``.
     """
 
     def __init__(self, input_word: Word):
@@ -535,15 +537,36 @@ class OpSeq:
     @staticmethod
     def of(phi: Diagram) -> "OpSeq":
         seq = OpSeq(phi.input)
+        seq.splice(phi, 0)
+        return seq
+
+    @property
+    def output(self) -> Word:
+        """The labels of the live word."""
+        return tuple(self.labels[t] for t in self.word)
+
+    def splice(self, phi: Diagram, pos: int) -> None:
+        """Fire every gate of phi, layer by layer, with its inputs offset by pos."""
         for layer in phi.layers:
-            cur = 0
+            cur = pos
             for s in layer:
                 if isinstance(s, Gate):
-                    seq.fire_at(s, cur)
-                    cur += len(slot_outputs(s))
+                    self.fire_at(s, cur)
+                    cur += len(s.outputs)
                 else:
                     cur += 1
-        return seq
+
+    def chase(self, tok: int, down: bool = True) -> tuple[Optional[int], int]:
+        """Follow a wire through twists, downward or upward: the first other
+        op it meets (None at the boundary) and the token it arrives by."""
+        ends = self.consumer if down else self.producer
+        while (i := ends.get(tok)) is not None:
+            op = self.ops[i]
+            if not isinstance(op.gate, TwistGate):
+                return i, tok
+            near, far = (op.in_tokens, op.out_tokens) if down else (op.out_tokens, op.in_tokens)
+            tok = far[1 - near.index(tok)]
+        return None, tok
 
     def fire_at(self, gate: Gate, pos: int) -> tuple:
         """Fire a gate whose inputs sit at [pos, pos+k) of the live word."""

@@ -385,8 +385,7 @@ def rewrite_block(
     out = OpSeq(phi.input)
     for op in ops[:lo]:
         out.fire_at(op.gate, op.pos)
-    for top in OpSeq.of(target).ops:
-        out.fire_at(top.gate, top.pos + base)
+    out.splice(target, base)
     for op in ops[hi + 1 :]:
         out.fire_at(op.gate, op.pos)
     return interchange_canonical_form(out.to_diagram())

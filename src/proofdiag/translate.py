@@ -136,8 +136,7 @@ def _rep(d: Derivation, c: bool) -> Diagram:
         if not ps:
             continue
         if isinstance(r, ExchangeR):
-            for op in OpSeq.of(canonical_perm_diagram(r.perm, ps[0].conclusion)).ops:
-                seq.fire_at(op.gate, col + off + op.pos)
+            seq.splice(canonical_perm_diagram(r.perm, ps[0].conclusion), col + off)
             continue
         lens = tuple(len(p.conclusion) for p in ps)
         copied = set(r.origin(lens))
@@ -421,30 +420,22 @@ def to_proof_structure(phi: Diagram) -> ProofStructure:
             cell_of[i] = f"n{i}"
 
     def chase_down(tok):
-        while True:
-            ci = seq.consumer.get(tok)
-            if ci is None:
-                return ("concl", seq.word.index(tok))
-            op = seq.ops[ci]
-            if isinstance(op.gate, TwistGate):
-                tok = op.out_tokens[1 - op.in_tokens.index(tok)]
-                continue
-            if isinstance(op.gate, CutGate):
-                return ("cutend", ci, op.in_tokens.index(tok))
-            return ("cell", cell_of[ci], op.in_tokens.index(tok))
+        ci, tok = seq.chase(tok)
+        if ci is None:
+            return ("concl", seq.word.index(tok))
+        op = seq.ops[ci]
+        if isinstance(op.gate, CutGate):
+            return ("cutend", ci, op.in_tokens.index(tok))
+        return ("cell", cell_of[ci], op.in_tokens.index(tok))
 
     def chase_up(tok):
-        while True:
-            pi = seq.producer.get(tok)
-            if pi is None:
-                return ("input", tok)
-            op = seq.ops[pi]
-            if isinstance(op.gate, TwistGate):
-                tok = op.in_tokens[1 - op.out_tokens.index(tok)]
-                continue
-            if isinstance(op.gate, AxGate):
-                return ("axend", pi, op.out_tokens.index(tok))
-            return ("cell", cell_of[pi], "out")
+        pi, tok = seq.chase(tok, down=False)
+        if pi is None:
+            return ("input", tok)
+        op = seq.ops[pi]
+        if isinstance(op.gate, AxGate):
+            return ("axend", pi, op.out_tokens.index(tok))
+        return ("cell", cell_of[pi], "out")
 
     wires = []
     for i, op in enumerate(seq.ops):

@@ -27,6 +27,7 @@ from proofdiag.diagram import (
     interchange_canonical_form as canon,
     is_formula_label,
     is_gate,
+    parallel,
     single,
     slot_inputs,
     slot_outputs,
@@ -291,6 +292,49 @@ def test_canonical_form_agrees_with_the_fixpoint():
 )
 def test_cut_order_diagrams_share_one_canonical_form():
     assert len({canon(phi) for phi in CUT_ORDER}) == 1
+
+
+# ---------------------------------------------------------------------------
+# OpSeq: splice, output, chase
+
+
+def test_opseq_chase_follows_a_wire_through_twists():
+    seq = OpSeq((b,))  # token 0
+    x, y = seq.fire_at(AxGate(a, False), 1)  # b a a^
+    tw1 = seq.fire_at(TwistGate(b, a), 0)  # a b a^
+    tw2 = seq.fire_at(TwistGate(b, negate(a)), 1)  # a a^ b
+    (p,) = seq.fire_at(ParGate(a, negate(a)), 0)  # (a|a^) b
+    # ops: 0 the axiom, 1 and 2 the twists, 3 the par
+    assert seq.chase(x) == (3, tw1[0])
+    assert seq.chase(y) == (3, tw2[0])
+    assert seq.chase(0) == (None, tw2[1])
+    assert seq.chase(p) == (None, p)
+    assert seq.chase(tw1[0], down=False) == (0, x)
+    assert seq.chase(tw2[0], down=False) == (0, y)
+    assert seq.chase(tw2[1], down=False) == (None, 0)
+    assert seq.chase(p, down=False) == (3, p)
+
+
+def test_opseq_splice_at_an_offset_matches_padded_composition():
+    psi = build((b, c), (TwistGate(b, c),), (ParGate(c, b),))
+    head = build((b, a, c, b, c), (TwistGate(b, a), c, b, c))  # a b c b c
+    for pos in (1, 3):
+        seq = OpSeq.of(head)
+        seq.splice(psi, pos)
+        pad = parallel(identity(head.output[:pos]), psi, identity(head.output[pos + 2 :]))
+        assert canon(seq.to_diagram()) == canon(compose_seq(head, pad))
+    with pytest.raises(BoundaryMismatch):
+        OpSeq.of(head).splice(psi, 0)
+
+
+def test_opseq_output_is_the_live_word():
+    rng = random.Random(23)
+    for i in range(200):
+        phi = _gate_walk(rng, i % 2 == 0, rng.randint(0, 10))
+        seq = OpSeq(phi.input)
+        assert seq.output == phi.input
+        seq.splice(phi, 0)
+        assert seq.output == seq.to_diagram().output == phi.output
 
 
 # ---------------------------------------------------------------------------
