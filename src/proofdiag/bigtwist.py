@@ -13,8 +13,9 @@ then drive every gate of the two blocks through the B-gate one at a time
 (strictly decreasing the number of gates above it) until the bracket
 producers pass through and the B-gate disappears.
 
+The finders read the diagram's shared op graph (``matching.op_graph``).
 Every target is built by firing its gates into one ``OpSeq`` at computed
-positions, and wires are walked through twists with ``OpSeq.chase``.  The
+positions, and wires are walked through twists with ``chase``.  The
 split patterns here are reconstructed from prose; the figures in the source
 material are unreadable.  Every rewrite is guarded by an exact
 boundary-preservation check.
@@ -33,12 +34,12 @@ from .diagram import (
     Diagram,
     DiagramError,
     OneGate,
+    OpGraph,
     OpSeq,
     TensorGate,
     TwistGate,
-    gate_count,
 )
-from .matching import MatchSite, rewrite_block, site_of, sorted_sites
+from .matching import MatchSite, op_graph, rewrite_block, site_of, sorted_sites
 from .perm import Permutation, canonical_perm_diagram, ladder_left_word, ladder_right_word
 
 
@@ -66,12 +67,12 @@ def _fired(word, *firings) -> Diagram:
 # Wire tracing
 
 
-def _chain_up(tseq: OpSeq, tok: int) -> list[tuple[int, int, int, bool]]:
+def _chain_up(tseq: OpGraph, tok: int) -> list[tuple[int, int, int, bool]]:
     """The twists above a wire, followed upward: (op index, predecessor
     token, crossed token, moved_right) each, where moved_right says the wire
     moved left-to-right on the way down."""
     chain = []
-    while (pi := tseq.producer.get(tok)) is not None and isinstance(tseq.ops[pi].gate, TwistGate):
+    while (pi := tseq.producer[tok]) is not None and isinstance(tseq.ops[pi].gate, TwistGate):
         op = tseq.ops[pi]
         port = op.out_tokens.index(tok)
         tok = op.in_tokens[1 - port]
@@ -91,9 +92,9 @@ class Split:
     chain: tuple  # upward chain of the crossing wire from alpha's active input
 
 
-def _axiom_other_leg(tseq: OpSeq, tok: int):
+def _axiom_other_leg(tseq: OpGraph, tok: int):
     """If tok is an axiom's formula leg, the op index and its other leg."""
-    pi = tseq.producer.get(tok)
+    pi = tseq.producer[tok]
     if pi is None or not isinstance(tseq.ops[pi].gate, AxGate):
         return None
     op = tseq.ops[pi]
@@ -121,7 +122,7 @@ def crossing_splits_of(phi: Diagram) -> list[Split]:
     axiom involution has fired, folded into the orientation of an axiom
     whose other leg feeds the inner split's matching input.
     """
-    tseq = OpSeq.of(phi)
+    tseq = op_graph(phi)
     splits = []
     for ai, aop in enumerate(tseq.ops):
         if not _is_split(aop.gate):
@@ -133,7 +134,7 @@ def crossing_splits_of(phi: Diagram) -> list[Split]:
                     continue
                 if case == "right" and moved_right:
                     continue
-                bp = tseq.producer.get(other)
+                bp = tseq.producer[other]
                 if bp is None or not _is_split(tseq.ops[bp].gate):
                     continue
                 into_beta = (bp, tseq.ops[bp].in_tokens[beta_port])
@@ -157,12 +158,11 @@ def crossing_splits_of(phi: Diagram) -> list[Split]:
 
 def find_untangle(phi: Diagram, side: str) -> list[MatchSite]:
     """Gates whose outputs all enter one side's block of a B-gate."""
-    tseq = OpSeq.of(phi)
+    tseq = op_graph(phi)
     rule = f"untangle-{side}"
     sites = []
-    for bi, bop in enumerate(tseq.ops):
-        if not isinstance(bop.gate, BigGate):
-            continue
+    for bi in tseq.by_family.get("big", ()):
+        bop = tseq.ops[bi]
         nl, nr = len(bop.gate.left_word), len(bop.gate.right_word)
         rng = range(1, 1 + nl) if side == "left" else range(3 + nl, 3 + nl + nr)
         for gi, gop in enumerate(tseq.ops):
@@ -181,9 +181,7 @@ def find_untangle(phi: Diagram, side: str) -> list[MatchSite]:
 
 def apply_untangle(phi: Diagram, site: MatchSite) -> Diagram:
     side, j = site.payload
-    gi, bi = site.g_ops
-    gates = phi.gate_list()
-    g, b = gates[gi], gates[bi]
+    g, b = (op_graph(phi).ops[i].gate for i in site.g_ops)
     lw, rw = tuple(b.left_word), tuple(b.right_word)
     k_out = len(g.outputs)
     if side == "left":
@@ -198,19 +196,18 @@ def apply_untangle(phi: Diagram, site: MatchSite) -> Diagram:
 
 def find_collapse(phi: Diagram, side: str) -> list[MatchSite]:
     """A bracket-producing 0-ary gate feeding an entire B block vanishes it."""
-    tseq = OpSeq.of(phi)
+    tseq = op_graph(phi)
     rule = f"big-collapse-{side}"
     sites = []
-    for bi, bop in enumerate(tseq.ops):
-        if not isinstance(bop.gate, BigGate):
-            continue
+    for bi in tseq.by_family.get("big", ()):
+        bop = tseq.ops[bi]
         nl = len(bop.gate.left_word)
         nr = len(bop.gate.right_word)
         if side == "left":
             block = bop.in_tokens[0 : 2 + nl]
         else:
             block = bop.in_tokens[2 + nl :]
-        producers = {tseq.producer.get(t) for t in block}
+        producers = {tseq.producer[t] for t in block}
         if len(producers) != 1:
             continue
         (gi,) = producers
@@ -227,7 +224,7 @@ def find_collapse(phi: Diagram, side: str) -> list[MatchSite]:
 
 def apply_collapse(phi: Diagram, site: MatchSite) -> Diagram:
     (side,) = site.payload
-    g = phi.gate_list()[site.g_ops[0]]
+    g = op_graph(phi).ops[site.g_ops[0]].gate
 
     def target(local: Diagram) -> Diagram:
         return _fired(local.input, (g, len(local.input) if side == "left" else 0))
@@ -251,7 +248,7 @@ def _bracket_close(labels, start: int) -> int:
     raise DiagramError("unbalanced control brackets")
 
 
-def _supported_intro(tseq: OpSeq, sp: Split) -> Optional[tuple[set, int]]:
+def _supported_intro(tseq: OpGraph, sp: Split) -> Optional[tuple[set, int]]:
     """Check the tight shape this implementation rewrites; see module doc.
 
     Case 'left': alpha.in[0]'s chain is a ladder over [Q-rest..., beta.out],
@@ -263,7 +260,7 @@ def _supported_intro(tseq: OpSeq, sp: Split) -> Optional[tuple[set, int]]:
     chain = sp.chain
     want_right = sp.case == "left"
     beta_port = 0 if sp.case == "left" else 3
-    k = next((i for i, c in enumerate(chain) if tseq.producer.get(c[2]) == sp.beta), None)
+    k = next((i for i, c in enumerate(chain) if tseq.producer[c[2]] == sp.beta), None)
     if k is None or any(c[3] != want_right for c in chain[: k + 1]):
         return None
     members = {sp.alpha, sp.beta, *(c[0] for c in chain[: k + 1])}
@@ -284,9 +281,9 @@ def _supported_intro(tseq: OpSeq, sp: Split) -> Optional[tuple[set, int]]:
 
 def find_big_intro(phi: Diagram) -> list[MatchSite]:
     """Crossing-split introduction sites (B-free, tight-shape splits only)."""
-    if gate_count(phi, ("big",)):
+    tseq = op_graph(phi)
+    if "big" in tseq.by_family:
         return []
-    tseq = OpSeq.of(phi)
     sites = []
     for sp in crossing_splits_of(phi):
         sup = _supported_intro(tseq, sp)
@@ -299,7 +296,7 @@ def find_big_intro(phi: Diagram) -> list[MatchSite]:
 
 def _flip_axiom(phi: Diagram, ax_idx: int) -> Diagram:
     """Un-apply the axiom involution: Ax(A) becomes Ax(A^) plus a twist."""
-    f = phi.gate_list()[ax_idx].formula
+    f = op_graph(phi).ops[ax_idx].gate.formula
     flipped = _fired((), (AxGate(negate(f), True), 0), (TwistGate(negate(f), f), 1))
     return rewrite_block(phi, (ax_idx,), lambda local: flipped)
 
@@ -323,7 +320,7 @@ def apply_big_intro(phi: Diagram, site: MatchSite) -> Diagram:
             if s.payload[0] == case and s.payload[3] == -1:
                 return apply_big_intro(flipped, s)
         raise DiagramError("axiom flip did not expose the crossing split")
-    gates = phi.gate_list()
+    ops = op_graph(phi).ops
 
     def split(original, left, right):
         # a tensor or a cut, as the original splitting gate is
@@ -349,12 +346,12 @@ def apply_big_intro(phi: Diagram, site: MatchSite) -> Diagram:
             Qw, Sw = w[4:qe], w[qe + 2 : se]
             seq = OpSeq(w)
             seq.fire_at(BigGate(Qw, Sw), 3)  # P X R | L Sw R | L Qw R
-            alpha2 = split(gates[alpha], w[1], Sw[0])
+            alpha2 = split(ops[alpha].gate, w[1], Sw[0])
             seq.fire_at(alpha2, 1)  # P aout Srest R L Qw R
             # carry P rightward over (aout, S-rest) to meet the Q block
             seq.splice(ladder_left_word((w[0],) + alpha2.outputs + Sw[1:]), 0)
             n1 = len(alpha2.outputs) + len(Sw) - 1  # aout Srest
-            beta2 = split(gates[beta], w[0], Qw[0])
+            beta2 = split(ops[beta].gate, w[0], Qw[0])
             seq.fire_at(beta2, n1)  # aout Srest bout Qrest R
             _swap_blocks(seq, 0, n1, len(beta2.outputs) + len(Qw) - 1)
             return seq.to_diagram()
@@ -390,12 +387,12 @@ def apply_big_intro(phi: Diagram, site: MatchSite) -> Diagram:
         Tw, Pw, Qw = w[1:te], w[te + 2 : pe], w[pe + 2 : qe]
         seq = OpSeq(w)
         seq.fire_at(BigGate(Tw, Pw), 0)  # L Pw R | L Tw R | L Y Q1 rest R
-        alpha2 = split(gates[alpha], Tw[-1], Qw[0])
+        alpha2 = split(ops[alpha].gate, Tw[-1], Qw[0])
         seq.fire_at(alpha2, 2 + len(Pw) + len(Tw))  # L Pw R | L Trest aout Q1 rest R
         # carry Q1 leftward over (T-rest, aout) to sit after the block's L
         lad = 3 + len(Pw)
         seq.splice(ladder_right_word(seq.output[lad : lad + len(Tw) + len(alpha2.outputs)]), lad)
-        beta2 = split(gates[beta], Pw[-1], Qw[1])
+        beta2 = split(ops[beta].gate, Pw[-1], Qw[1])
         seq.fire_at(beta2, len(Pw))  # L Prest bout Trest aout Qrest R
         _swap_blocks(seq, 1, len(Pw) - 1 + len(beta2.outputs), len(Tw) - 1 + len(alpha2.outputs))
         return seq.to_diagram()

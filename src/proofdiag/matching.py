@@ -13,10 +13,21 @@ target in its place.
 
 Source schemas must consume every input wire (no pass-through columns);
 all shipped rule sources satisfy this.
+
+Every reader here and in ``bigtwist`` reads a diagram's wiring from one
+``OpGraph``, which ``op_graph`` builds through ``OpSeq.of``.  The graph is
+read-only: nobody fires into it or changes it, and whoever needs to build
+fires into a fresh ``OpSeq``.  So one graph serves every matcher, finder and
+rewrite of a step.  It lives only while the engine steps on its diagram:
+``op_graph`` keeps the last diagram asked for and its graph, keyed by
+identity, and the next diagram replaces both.  Diagrams are immutable, so a
+kept graph cannot go stale.  Schema graphs are kept per schema, in a bounded
+cache; the engine's schemas are the few fixed members of the five systems.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .formula import Atom, Tensor, Par, One, Bot, FVar, NVar, Formula, negate
@@ -26,6 +37,7 @@ from .diagram import (
     DiagramError,
     Gate,
     Op,
+    OpGraph,
     OpSeq,
     gate_fields,
     interchange_canonical_form,
@@ -68,17 +80,29 @@ class MatchSite:
         return dict(self.substitution)
 
 
+def op_graph(phi: Diagram) -> OpGraph:
+    """The read-only op graph of ``phi``, built once while the engine steps
+    on ``phi`` (see the module docstring)."""
+    if _last[0] is not phi:
+        _last[:] = phi, OpGraph(phi)
+    return _last[1]
+
+
+_last: list = [None, None]  # the diagram op_graph built last, and its graph
+
+
 def site_of(
     phi: Diagram, rule: str, g_ops, substitution: tuple = (), payload: tuple = ()
 ) -> MatchSite:
     """The site of the ops ``g_ops`` (canonical firing order) of ``phi``."""
-    where = [(li, col) for i, (li, col, _) in enumerate(phi.gates()) if i in g_ops]
+    g = op_graph(phi)
+    layers = [g.layer[i] for i in g_ops]
     return MatchSite(
         rule=rule,
         g_ops=tuple(g_ops),
         substitution=substitution,
-        layer_span=(min(li for li, _ in where), max(li for li, _ in where)),
-        offset=min(col for _, col in where),
+        layer_span=(min(layers), max(layers)),
+        offset=min(g.column[i] for i in g_ops),
         fingerprint=hash(phi),
         payload=tuple(payload),
     )
@@ -193,7 +217,7 @@ def instantiate(schema: Diagram, subst: dict) -> Diagram:
 # Embedding
 
 
-def _embed(sseq: OpSeq, tseq: OpSeq, t0: int) -> Optional[tuple[dict, dict, dict]]:
+def _embed(sseq: OpGraph, tseq: OpGraph, t0: int) -> Optional[tuple[dict, dict, dict]]:
     """Map the schema's op graph into the target's, anchored at op 0 -> t0."""
     subst: dict = {}
     if not gate_unify(sseq.ops[0].gate, tseq.ops[t0].gate, subst):
@@ -222,8 +246,8 @@ def _embed(sseq: OpSeq, tseq: OpSeq, t0: int) -> Optional[tuple[dict, dict, dict
         sop = sseq.ops[si]
         for st in tuple(sop.in_tokens) + tuple(sop.out_tokens):
             tt = token_map[st]
-            for src, tgt in ((sseq.producer.get(st), tseq.producer.get(tt)),
-                             (sseq.consumer.get(st), tseq.consumer.get(tt))):
+            for src, tgt in ((sseq.producer[st], tseq.producer[tt]),
+                             (sseq.consumer[st], tseq.consumer[tt])):
                 if src is None:
                     continue  # schema boundary; target side unconstrained
                 if tgt is None:
@@ -273,7 +297,7 @@ def _bubble_block(ops: list[Op], flags: list[bool]) -> Optional[tuple[list[Op], 
             return None
 
 
-def _block(tseq: OpSeq, g_ops, extend=None) -> tuple[list[Op], int, int, int, Diagram]:
+def _block(tseq: OpGraph, g_ops, extend=None) -> tuple[list[Op], int, int, int, Diagram]:
     """Cut the ops ``g_ops`` out of ``tseq`` as one block.
 
     The ops are bubbled together by interchange; the block's window runs
@@ -321,21 +345,29 @@ def _require_canonical(phi: Diagram) -> None:
         raise MatchError("diagram must be in interchange canonical form")
 
 
+@lru_cache(maxsize=512)
+def _checked_schema(schema: Diagram) -> tuple[OpGraph, str]:
+    """A schema's graph, and why it cannot be matched ("" when it can)."""
+    sseq = OpGraph(schema)
+    if not sseq.ops:
+        return sseq, "schema must contain at least one gate"
+    if any(sseq.consumer[t] is None for t in sseq.in_tokens):
+        return sseq, "schema has a pass-through input wire"
+    return sseq, ""
+
+
 def find_matches(phi: Diagram, schema: Diagram, rule_name: str = "") -> list[MatchSite]:
     """All sites, modulo interchange, where schema embeds as a subdiagram.
 
     Sites come back deterministically ordered: topmost first, then leftmost.
     """
     _require_canonical(phi)
-    sseq = OpSeq.of(schema)
-    if not sseq.ops:
-        raise MatchError("schema must contain at least one gate")
-    for t in sseq.in_tokens:
-        if t not in sseq.consumer:
-            raise MatchError("schema has a pass-through input wire")
-    tseq = OpSeq.of(phi)
+    sseq, unmatchable = _checked_schema(schema)
+    if unmatchable:
+        raise MatchError(unmatchable)
+    tseq = op_graph(phi)
     seen = {}
-    for t0 in range(len(tseq.ops)):
+    for t0 in tseq.by_family.get(sseq.ops[0].gate.family, ()):
         emb = _embed(sseq, tseq, t0)
         if emb is None:
             continue
@@ -349,7 +381,7 @@ def find_matches(phi: Diagram, schema: Diagram, rule_name: str = "") -> list[Mat
     return sorted_sites(seen.values())
 
 
-def _fits(tseq: OpSeq, schema: Diagram, g_ops: tuple[int, ...], subst: dict) -> bool:
+def _fits(tseq: OpGraph, schema: Diagram, g_ops: tuple[int, ...], subst: dict) -> bool:
     """Whether the ops ``g_ops`` form, modulo interchange, a block equal to
     the instantiated schema.  A block whose window has a gap has more inputs
     than the schema, so it never equals it."""
@@ -378,7 +410,7 @@ def rewrite_block(
     return a diagram with identical boundary.
     """
     _require_canonical(phi)
-    ops, lo, hi, base, local = _block(OpSeq.of(phi), g_ops, extend)
+    ops, lo, hi, base, local = _block(op_graph(phi), g_ops, extend)
     target = make_target(local)
     if target.input != local.input or target.output != local.output:
         raise MatchError("computed target changes the block boundary")

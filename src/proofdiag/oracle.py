@@ -10,6 +10,7 @@ a B-gate or crossing split yields ``no``; otherwise ``unknown``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cache
 from typing import Optional
 
 from .diagram import (
@@ -58,11 +59,10 @@ def untangle(phi: Diagram) -> tuple[Diagram, RewriteTrace]:
             raise NoCrossingSplit("diagram has no crossing split")
         raise NoCrossingSplit("no introduction site for the crossing splits present")
     # lookahead: prefer a site whose elimination creates no new split
-    big = polygraph("MLL_big")
     chosen = None
     results = []
     for site in sites:
-        out, sub_steps = _drive_big(big, cur, site)
+        out, sub_steps = _drive_big(cur, site)
         results.append((site, out, sub_steps))
         if len(crossing_splits_of(out)) < len(crossing_splits_of(cur)):
             chosen = (site, out, sub_steps)
@@ -74,13 +74,19 @@ def untangle(phi: Diagram) -> tuple[Diagram, RewriteTrace]:
     return out, RewriteTrace(initial, steps, out)
 
 
-def _drive_big(big: Polygraph, phi: Diagram, site) -> tuple[Diagram, list]:
-    # every B-gate rule needs a B-gate: this stops once it is gone or
-    # deactivated (open branches keep it)
+@cache
+def _big_drivers() -> Polygraph:
+    """MLL_big's five B-gate rules, as a system of their own."""
+    big = polygraph("MLL_big")
     names = ("big-annihilate", "big-collapse-left", "big-collapse-right",
              "untangle-left", "untangle-right")
-    drivers = replace(big, rules=tuple(map(big.rule, names)))
-    out, trace = normalize(drivers, bigtwist.apply_big_intro(phi, site))
+    return replace(big, rules=tuple(map(big.rule, names)))
+
+
+def _drive_big(phi: Diagram, site) -> tuple[Diagram, list]:
+    # every B-gate rule needs a B-gate: this stops once it is gone or
+    # deactivated (open branches keep it)
+    out, trace = normalize(_big_drivers(), bigtwist.apply_big_intro(phi, site))
     return out, trace.steps
 
 

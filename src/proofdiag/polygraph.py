@@ -425,7 +425,10 @@ class Polygraph:
 _MLL_SIGNATURE = ("twist", "par", "tensor", "ax", "cut", "one", "bot")
 
 
+@functools.cache
 def polygraph(name: str) -> Polygraph:
+    """The system called ``name``, built on its first call; every later call
+    returns the same (immutable) object."""
     core: list[Rule] = [_twist_involution(), _yang_baxter()]
     if name == "S":
         return Polygraph(name, ("twist",), tuple(core))

@@ -92,6 +92,39 @@ def test_eliminate_cuts_clears_a_bgate_over_two_closed_branches():
     assert gate_count(nf, {"cut", "big"}) == 0
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=DiagramError,
+    reason="Sem takes no step and one cut is left.  _embed finds cut-tensor-par at "
+    "width 1 on ops 4, 6, 11 and 12, and adjacent swaps reach the order "
+    "0,1,2,3,5,7,9,4,6,11,12,8,10 where those ops are consecutive, but "
+    "_bubble_block returns None, so _fits reports no site",
+)
+def test_eliminate_cuts_finds_a_unit_free_principal_cut():
+    d = parse_derivation(
+        "(cut (par 1 (ex (2,3,1) (tensor (ax a^) (ax a))))"
+        " (par 1 (ex (2,3,1) (tensor (ax a^) (ax a)))))"
+    )
+    nf, _ = eliminate_cuts(represent(d))
+    assert gate_count(nf, {"cut", "big"}) == 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=DiagramError,
+    reason="not diagnosed to the end: Sem takes three bot-slide-left steps and stops "
+    "with cut(1).  A tensor has merged the brackets of the one that feeds it, and its "
+    "wire crosses two twists; crossing_splits_of finds no split and no cut rule "
+    "matches, so either a rule or a crossing split is missing",
+)
+def test_eliminate_cuts_reaches_a_unit_cut_behind_two_twists():
+    d = parse_derivation(
+        "(cut (par 2 (ex (4,1,3,2) (bot (tensor (bot (one)) (ax a))))) (ex (2,1) (bot (one))))"
+    )
+    nf, _ = eliminate_cuts(represent(d))
+    assert gate_count(nf, {"cut", "big"}) == 0
+
+
 def test_eliminate_unit_cut():
     d = cut(bot(one()), one())
     nf, trace = eliminate_cuts(represent(d))
