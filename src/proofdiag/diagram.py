@@ -559,7 +559,14 @@ class OpSeq:
     def chase(self, tok: int, down: bool = True) -> tuple[Optional[int], int]:
         """Follow a wire through twists, downward or upward: the first other
         op it meets (None at the boundary) and the token it arrives by."""
-        return _chase(self.ops, (self.consumer if down else self.producer).get, tok, down)
+        ends = self.consumer if down else self.producer
+        while (i := ends.get(tok)) is not None:
+            op = self.ops[i]
+            if not isinstance(op.gate, TwistGate):
+                return i, tok
+            near, far = (op.in_tokens, op.out_tokens) if down else (op.out_tokens, op.in_tokens)
+            tok = far[1 - near.index(tok)]
+        return None, tok
 
     def fire_at(self, gate: Gate, pos: int) -> tuple:
         """Fire a gate whose inputs sit at [pos, pos+k) of the live word."""
@@ -596,28 +603,20 @@ class OpSeq:
         return Diagram(self.input_word, layers)
 
 
-def _chase(ops, end_of, tok: int, down: bool) -> tuple[Optional[int], int]:
-    """``chase`` over ops, with ``end_of(tok)`` the op at the wire's far end."""
-    while (i := end_of(tok)) is not None:
-        op = ops[i]
-        if not isinstance(op.gate, TwistGate):
-            return i, tok
-        near, far = (op.in_tokens, op.out_tokens) if down else (op.out_tokens, op.in_tokens)
-        tok = far[1 - near.index(tok)]
-    return None, tok
-
-
 class OpGraph:
     """The op graph of one diagram, read-only.
 
-    It holds what ``OpSeq.of(phi)`` computes, frozen: the ops in canonical
-    firing order, and for every token (tokens are ``0 .. n-1``) its
-    ``label``, ``producer`` and ``consumer`` (op index, or None at the
-    boundary), as tuples indexed by token.  It adds each op's ``layer`` and
-    ``column`` (the wire offset of its inputs in that layer of ``phi``) and
-    ``by_family``, the op indices of each gate family in firing order.  It
-    has no ``fire_at`` or ``splice``, its ops are tuples and its fields
-    cannot be set, so one graph can be shared by every reader of ``phi``.
+    It holds what ``OpSeq.of(phi)`` computes: the ops in canonical firing
+    order, as a tuple, and for every token its label, producer and consumer
+    (``labels``, ``producer`` and ``consumer``; an op index, or None at the
+    boundary).  It adds each op's ``layer`` and ``column`` (the wire offset
+    of its inputs in that layer of ``phi``) and ``by_family``, the op
+    indices of each gate family in firing order.  The tables are read-only
+    mappings over dicts that nothing else holds: tuples would read faster,
+    but built and dropped once per rewrite step they fill the interpreter's
+    tuple free lists and raise peak memory.  It has no ``fire_at`` or
+    ``splice``, its ops are named tuples and its fields cannot be set, so
+    one graph can be shared by every reader of ``phi``.
     """
 
     __slots__ = (
@@ -626,19 +625,20 @@ class OpGraph:
 
     def __init__(self, phi: Diagram):
         seq = OpSeq.of(phi)
-        tokens = range(len(seq.labels))
-        where = [(li, col) for li, col, _ in phi.gates()]
-        by_family: dict = {}
-        for i, op in enumerate(seq.ops):
-            by_family.setdefault(op.gate.family, []).append(i)
+        consumer = dict.fromkeys(seq.labels)
+        consumer.update(seq.consumer)
+        layer, column, by_family = {}, {}, {}
+        for i, (li, col, g) in enumerate(phi.gates()):
+            layer[i], column[i] = li, col
+            by_family.setdefault(g.family, []).append(i)
         for name, value in (
             ("in_tokens", seq.in_tokens),
             ("ops", tuple(seq.ops)),
-            ("labels", tuple(seq.labels[t] for t in tokens)),
-            ("producer", tuple(seq.producer[t] for t in tokens)),
-            ("consumer", tuple(seq.consumer.get(t) for t in tokens)),
-            ("layer", tuple(li for li, _ in where)),
-            ("column", tuple(col for _, col in where)),
+            ("labels", MappingProxyType(seq.labels)),
+            ("producer", MappingProxyType(seq.producer)),
+            ("consumer", MappingProxyType(consumer)),
+            ("layer", MappingProxyType(layer)),
+            ("column", MappingProxyType(column)),
             ("by_family", MappingProxyType({f: tuple(ix) for f, ix in by_family.items()})),
         ):
             object.__setattr__(self, name, value)
@@ -646,9 +646,7 @@ class OpGraph:
     def __setattr__(self, *a):  # read-only
         raise AttributeError("OpGraph is read-only")
 
-    def chase(self, tok: int, down: bool = True) -> tuple[Optional[int], int]:
-        """``OpSeq.chase`` on this graph."""
-        return _chase(self.ops, (self.consumer if down else self.producer).__getitem__, tok, down)
+    chase = OpSeq.chase
 
 
 def swap_adjacent(ops: list[Op], i: int) -> Optional[tuple[Op, Op]]:

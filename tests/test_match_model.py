@@ -33,7 +33,8 @@ a, b, c, d = atom("a"), atom("b"), atom("c"), atom("d")
 
 
 def _outcome(fn, *args):
-    """What a call returns, or the type of the matcher error it raises."""
+    """What a call returns, or the type of the error it raises: a matcher
+    error, or a KeyError when a reversed step leaves a variable unbound."""
     try:
         return fn(*args)
     except (DiagramError, KeyError) as e:
@@ -150,7 +151,7 @@ def test_matchers_agree_on_the_bfs_neighbourhood_of_the_critical_peak(monkeypatc
     # replacement they make checked against the model
     sem = polygraph("Sem")
     peak = _critical_peak()
-    calls = Counter()  # replacements checked
+    replaced = []
 
     def checked_find(phi, schema, rule_name=""):
         want = _outcome(model.find_matches, phi, schema, rule_name)
@@ -165,7 +166,7 @@ def test_matchers_agree_on_the_bfs_neighbourhood_of_the_critical_peak(monkeypatc
     def checked_replace(phi, site, target):
         got = replace_at(phi, site, target)
         assert got == model.replace_at(phi, site, target), (site, phi)
-        calls["replace"] += 1
+        replaced.append(site)
         return got
 
     monkeypatch.setattr(oracle, "find_matches", checked_find)
@@ -179,7 +180,7 @@ def test_matchers_agree_on_the_bfs_neighbourhood_of_the_critical_peak(monkeypatc
             for _, nxt in oracle._neighbors(sem, phi)[0]
             if nxt not in seen and not seen.add(nxt)
         ]
-    assert len(seen) > 300 and calls["replace"] > 1000
+    assert len(seen) > 300 and len(replaced) > 1000
 
 
 # ---------------------------------------------------------------------------
@@ -234,13 +235,11 @@ def test_the_shared_graph_is_read_only():
     for table in (g.labels, g.producer, g.consumer, g.layer, g.column, g.by_family):
         with pytest.raises(TypeError):
             table[0] = None
-    with pytest.raises(TypeError):
-        g.by_family["twist"] = ()
     # what the graph holds is what a fresh OpSeq computes
     seq = OpSeq.of(phi)
     assert g.ops == tuple(seq.ops)
-    assert g.producer == tuple(seq.producer[t] for t in range(len(seq.labels)))
-    assert g.consumer == tuple(seq.consumer.get(t) for t in range(len(seq.labels)))
+    assert g.labels == seq.labels and g.producer == seq.producer
+    assert g.consumer == {t: seq.consumer.get(t) for t in seq.labels}
     assert [(g.layer[i], g.column[i]) for i in range(len(g.ops))] == [
         (li, col) for li, col, _ in phi.gates()
     ]
