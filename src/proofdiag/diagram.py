@@ -33,8 +33,15 @@ pins (``Enumerate.EXPECTED[4]`` in ``perfbench/workloads.py``, 21,099 would
 become 21,091), so the fix waits for a change to that count.
 
 Canonicity is a flag on the diagram that only ``interchange_canonical_form``
-sets, on what it returns; given a flagged diagram, it returns it at once.
-Diagrams are immutable, so the flag cannot go stale.
+and ``OpSeq.to_diagram(canonical=True)`` set, on what they return; given a
+flagged diagram, the canonical form returns it at once.  Diagrams are
+immutable, so the flag cannot go stale.
+
+``Diagram(input, layers)`` checks every layer's boundary.  Only the builders
+here whose result is valid by construction pass ``output=`` to skip that
+walk: ``compose_seq`` (which still compares the two boundary words),
+``compose_par``, ``interchange_canonical_form`` and ``OpSeq.to_diagram``
+(whose ``fire_at`` checked every label).
 """
 from __future__ import annotations
 
@@ -317,18 +324,19 @@ class Diagram:
 
     __slots__ = ("input", "layers", "output", "_hash", "_canonical")
 
-    def __init__(self, input_word: Iterable[Label], layers: Iterable[Layer] = ()):
+    def __init__(self, input_word: Iterable[Label], layers: Iterable[Layer] = (), *, output=None):
         word = tuple(input_word)
-        lys = tuple(tuple(layer) for layer in layers)
-        cur = word
-        for layer in lys:
-            need = layer_inputs(layer)
-            if need != cur:
-                raise _mismatch(cur, need)
-            cur = layer_outputs(layer)
+        lys = tuple(map(tuple, layers))
+        if output is None:  # not a trusted build (see the module docstring)
+            output = word
+            for layer in lys:
+                need = layer_inputs(layer)
+                if need != output:
+                    raise _mismatch(output, need)
+                output = layer_outputs(layer)
         object.__setattr__(self, "input", word)
         object.__setattr__(self, "layers", lys)
-        object.__setattr__(self, "output", cur)
+        object.__setattr__(self, "output", tuple(output))
         object.__setattr__(self, "_hash", None)  # computed on first use
         object.__setattr__(self, "_canonical", False)
 
@@ -407,7 +415,7 @@ def compose_seq(phi: Diagram, psi: Diagram) -> Diagram:
     """Stack psi below phi; boundary words must agree label-for-label."""
     if phi.output != psi.input:
         raise _mismatch(phi.output, psi.input)
-    return Diagram(phi.input, phi.layers + psi.layers)
+    return Diagram(phi.input, phi.layers + psi.layers, output=psi.output)
 
 
 def compose_par(phi: Diagram, psi: Diagram) -> Diagram:
@@ -422,7 +430,7 @@ def compose_par(phi: Diagram, psi: Diagram) -> Diagram:
         left = phi.layers[i] if i < len(phi.layers) else tuple(phi.output)
         right = psi.layers[i] if i < len(psi.layers) else tuple(psi.output)
         layers.append(left + right)
-    return Diagram(phi.input + psi.input, layers)
+    return Diagram(phi.input + psi.input, layers, output=phi.output + psi.output)
 
 
 def parallel(*parts: Diagram) -> Diagram:
@@ -461,6 +469,20 @@ def _landing(above: list[Slot], p: int, k: int) -> Optional[tuple[int, int]]:
     return at, w
 
 
+def _hoist(grid: list[list[Slot]], gate: Gate, li: int, at: int, w: int) -> int:
+    """Lift ``gate``, at slot ``at`` and input wire ``w`` of ``grid[li]``, as
+    far up as its wires allow, and return the layer it lands in.  With ``li
+    == len(grid)`` it comes from below the grid, from no layer yet."""
+    k = len(gate.inputs)
+    while li and (spot := _landing(grid[li - 1], w, k)):
+        if li < len(grid):
+            grid[li][at : at + 1] = gate.outputs
+        li -= 1
+        at, w = spot
+        grid[li][at : at + k] = [gate]
+    return li
+
+
 def interchange_canonical_form(phi: Diagram) -> Diagram:
     """Hoist every gate to its earliest layer, in one top-down pass.
 
@@ -480,16 +502,9 @@ def interchange_canonical_form(phi: Diagram) -> Diagram:
         grid.append(list(layer))
         si = p = 0  # slot index in the newest layer, and its input wire offset
         while si < len(grid[-1]):
-            gate = grid[-1][si]
-            k = len(slot_inputs(gate))
-            li, at, w = len(grid) - 1, si, p
-            while isinstance(gate, Gate) and li and (spot := _landing(grid[li - 1], w, k)):
-                grid[li][at : at + 1] = gate.outputs
-                li -= 1
-                at, w = spot
-                grid[li][at : at + k] = [gate]
-            if li == len(grid) - 1:  # it stays: go past it
-                si, p = si + 1, p + k
+            s = grid[-1][si]
+            if not isinstance(s, Gate) or _hoist(grid, s, len(grid) - 1, si, p) == len(grid) - 1:
+                si, p = si + 1, p + len(slot_inputs(s))  # it stays: go past it
         # Of two gate-free layers in a row only the upper one is kept.  Gates
         # that land in it put a 0-input gate before a cut at its wire, as in
         # any layer (the cut-order gap); without it they keep their order.
@@ -498,7 +513,7 @@ def interchange_canonical_form(phi: Diagram) -> Diagram:
     if grid and not any(isinstance(s, Gate) for s in grid[-1]):
         grid.pop()
     layers = tuple(map(tuple, grid))
-    canon = phi if layers == phi.layers else Diagram(phi.input, layers)
+    canon = phi if layers == phi.layers else Diagram(phi.input, layers, output=phi.output)
     object.__setattr__(canon, "_canonical", True)
     return canon
 
@@ -521,7 +536,9 @@ class OpSeq:
     None for boundary).  It is the one builder of diagrams gate by gate: the
     matching engine reorders independent firings and splices rule instances
     with it, and the procedural rewrites fire their targets into it and walk
-    wires through twists with ``chase``.
+    wires through twists with ``chase``.  ``to_diagram(canonical=True)``
+    places a rewrite result or a representation in flagged canonical form
+    straight from its firings.
     """
 
     def __init__(self, input_word: Word):
@@ -589,18 +606,21 @@ class OpSeq:
         self.word[pos : pos + k] = list(outs)
         return outs
 
-    def to_diagram(self) -> Diagram:
-        word = list(self.in_tokens)
-        layers = []
+    def to_diagram(self, canonical: bool = False) -> Diagram:
+        """One layer per op, in firing order.  With ``canonical``, the flagged
+        ``interchange_canonical_form`` of that, placed without the one-op
+        layers: each op is hoisted from below the grid, and opens a layer
+        only where it cannot land in the last one."""
+        grid: list[list[Slot]] = []
+        word = list(self.input_word)  # the labels below the grid
         for op in self.ops:
-            layer: list[Slot] = [self.labels[t] for t in word]
             k = len(op.in_tokens)
-            if tuple(word[op.pos : op.pos + k]) != tuple(op.in_tokens):
-                raise DiagramError("op replay mismatch")
-            layer[op.pos : op.pos + k] = [op.gate]
-            layers.append(tuple(layer))
-            word[op.pos : op.pos + k] = list(op.out_tokens)
-        return Diagram(self.input_word, layers)
+            if not canonical or _hoist(grid, op.gate, len(grid), 0, op.pos) == len(grid):
+                grid.append(word[: op.pos] + [op.gate] + word[op.pos + k :])
+            word[op.pos : op.pos + k] = op.gate.outputs
+        phi = Diagram(self.input_word, grid, output=word)
+        object.__setattr__(phi, "_canonical", canonical)
+        return phi
 
 
 class OpGraph:

@@ -297,14 +297,14 @@ def _bubble_block(ops: list[Op], flags: list[bool]) -> Optional[tuple[list[Op], 
             return None
 
 
-def _block(tseq: OpGraph, g_ops, extend=None) -> tuple[list[Op], int, int, int, Diagram]:
+def _block(tseq: OpGraph, g_ops, extend=None) -> tuple[list[Op], int, int, int, OpSeq]:
     """Cut the ops ``g_ops`` out of ``tseq`` as one block.
 
     The ops are bubbled together by interchange; the block's window runs
     from the leftmost to the rightmost wire they consume, widened by
     ``extend(labels, lo, hi) -> (lo, hi)`` on the block-entry word.  Returns
     the reordered ops, the block's first and last index in them, the
-    window's first column and the block as a diagram over the window.
+    window's first column and the block's firings over the window.
     """
     members = set(g_ops)
     blk = _bubble_block(tseq.ops, [i in members for i in range(len(tseq.ops))])
@@ -330,7 +330,7 @@ def _block(tseq: OpGraph, g_ops, extend=None) -> tuple[list[Op], int, int, int, 
     try:
         for op in ops[lo : hi + 1]:
             local.fire_at(op.gate, op.pos - base)
-        return ops, lo, hi, base, local.to_diagram()
+        return ops, lo, hi, base, local
     except (DiagramError, IndexError) as e:
         raise MatchError("block does not fit its window") from e
 
@@ -386,12 +386,10 @@ def _fits(tseq: OpGraph, schema: Diagram, g_ops: tuple[int, ...], subst: dict) -
     the instantiated schema.  A block whose window has a gap has more inputs
     than the schema, so it never equals it."""
     try:
-        *_, local = _block(tseq, g_ops)
+        *_, block = _block(tseq, g_ops)
     except MatchError:
         return False
-    return interchange_canonical_form(local) == interchange_canonical_form(
-        instantiate(schema, subst)
-    )
+    return block.to_diagram(canonical=True) == interchange_canonical_form(instantiate(schema, subst))
 
 
 def rewrite_block(
@@ -410,7 +408,8 @@ def rewrite_block(
     return a diagram with identical boundary.
     """
     _require_canonical(phi)
-    ops, lo, hi, base, local = _block(op_graph(phi), g_ops, extend)
+    ops, lo, hi, base, block = _block(op_graph(phi), g_ops, extend)
+    local = block.to_diagram()
     target = make_target(local)
     if target.input != local.input or target.output != local.output:
         raise MatchError("computed target changes the block boundary")
@@ -420,7 +419,7 @@ def rewrite_block(
     out.splice(target, base)
     for op in ops[hi + 1 :]:
         out.fire_at(op.gate, op.pos)
-    return interchange_canonical_form(out.to_diagram())
+    return out.to_diagram(canonical=True)
 
 
 def replace_at(phi: Diagram, site: MatchSite, target_schema: Diagram) -> Diagram:

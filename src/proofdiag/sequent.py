@@ -293,29 +293,38 @@ def check_derivation(d: Derivation) -> Sequent:
     return d.conclusion
 
 
+# The walks below use explicit stacks, so derivations of any depth pass.
+
+
 def rule_count(d: Derivation, include_exchange: bool = True) -> int:
-    n = 0 if (isinstance(d.rule, ExchangeR) and not include_exchange) else 1
-    return n + sum(rule_count(p, include_exchange) for p in d.premises)
+    return sum(include_exchange or not isinstance(x.rule, ExchangeR) for _, x in subderivations(d))
 
 
 def subderivations(d: Derivation, path: tuple = ()) -> Iterator[tuple[tuple, Derivation]]:
-    yield path, d
-    for i, p in enumerate(d.premises):
-        yield from subderivations(p, path + (i,))
+    """Every (path, node) of d in preorder."""
+    todo = [(path, d)]
+    while todo:
+        path, x = todo.pop()
+        yield path, x
+        todo += [(path + (i,), p) for i, p in reversed(tuple(enumerate(x.premises)))]
 
 
 def replace_subderivation(d: Derivation, path: tuple, new: Derivation) -> Derivation:
-    if not path:
-        return new
-    i = path[0]
-    prem = list(d.premises)
-    prem[i] = replace_subderivation(prem[i], path[1:], new)
-    return Derivation(d.rule, tuple(prem))
+    above = []  # the nodes along the path, above the one replaced
+    for i in path:
+        above.append(d)
+        d = d.premises[i]
+    for x, i in zip(reversed(above), reversed(path)):
+        new = Derivation(x.rule, x.premises[:i] + (new,) + x.premises[i + 1 :])
+    return new
 
 
 def _rebuild(d: Derivation) -> Derivation:
     """Build the same tree again through the constructors, fusing exchanges."""
-    return d.rule.build(tuple(map(_rebuild, d.premises)))
+    done: list = []  # rebuilt subtrees; reversed preorder meets premises first
+    for _, x in reversed(list(subderivations(d))):
+        done.append(x.rule.build(tuple(done.pop() for _ in x.premises)))
+    return done[0]
 
 
 # ---------------------------------------------------------------------------

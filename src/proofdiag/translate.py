@@ -97,7 +97,7 @@ def represent(d: Derivation, sig: str = "controlled") -> Diagram:
     controlled = sig == "controlled"
     if sig not in ("controlled", "uncontrolled"):
         raise DiagramError(f"unknown signature {sig!r}")
-    return interchange_canonical_form(_rep(d, controlled))
+    return _rep(d, controlled)
 
 
 _GATE = {  # the gate of a rule, given its tag and its active formulas in order
@@ -113,7 +113,8 @@ _GATE = {  # the gate of a rule, given its tag and its active formulas in order
 def _rep(d: Derivation, c: bool) -> Diagram:
     """Fire one gate per rule into one ``OpSeq``: the ax/one leaves first,
     left to right, then every other rule after its premises, at its first
-    active formula (a bot after its premise's formulas)."""
+    active formula (a bot after its premise's formulas).  The result is the
+    canonical form, placed from the firings."""
     off = 1 if c else 0  # the L before each conclusion's formulas
     # (derivation, column of its conclusion when it fires): only whole
     # subtrees lie left of it then, and what is right of it does not count
@@ -143,7 +144,7 @@ def _rep(d: Derivation, c: bool) -> Diagram:
         acts = [(j, k) for j, n in enumerate(lens) for k in range(1, n + 1) if (j, k) not in copied]
         fs = [ps[j].conclusion[k - 1] for j, k in acts]
         seq.fire_at(_GATE[type(r)](r, fs, c), col + off + (acts[0][1] - 1 if acts else lens[0]))
-    return seq.to_diagram()
+    return seq.to_diagram(canonical=True)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from proofdiag.formula import Bot, One, Par, Tensor, atom, negate
 from proofdiag.perm import Permutation
 from proofdiag.sequent import (
     Derivation,
+    ExchangeR,
     InvalidRule,
     NotApplicable,
     ParR,
@@ -23,9 +24,12 @@ from proofdiag.sequent import (
     one,
     par,
     provable,
+    replace_subderivation,
     rule_count,
     sim_neighbors,
+    subderivations,
     tensor,
+    _rebuild,
 )
 
 a, b = atom("a"), atom("b")
@@ -52,6 +56,30 @@ def test_tensor_wrong_active_is_invalid():
     # build a cut whose left premise does not end with the cut formula
     with pytest.raises(InvalidRule):
         cut(ax(a), ax(b))
+
+
+@pytest.mark.parametrize("n", [600, 5000])
+def test_walks_over_stacked_bots_do_not_recurse(n):
+    # one rule per bot: counting, listing, replacing and rebuilding must not
+    # recurse per rule (the dataclass hash and == still do, so none is used)
+    d = one()
+    for _ in range(n):
+        d = bot(d)
+    assert rule_count(d) == rule_count(d, include_exchange=False) == n + 1
+    assert [p for p, _ in subderivations(d)] == [(0,) * k for k in range(n + 1)]
+    new = replace_subderivation(d, (0,) * n, Derivation(ExchangeR(sw), (exchange(ax(a), sw),)))
+    assert new.conclusion == (a, negate(a)) + (Bot(),) * n
+    assert rule_count(new) == n + 3 and rule_count(new, include_exchange=False) == n + 1
+    # rebuilding fuses the two exchanges into the identity, which goes
+    assert derivation_str(_rebuild(new)) == "(bot " * n + "(ax a)" + ")" * n
+
+
+def test_subderivations_walk_in_preorder():
+    d = tensor(bot(one()), par(tensor(ax(a), ax(b))))
+    assert [(p, derivation_str(x).split()[0]) for p, x in subderivations(d)] == [
+        ((), "(tensor"), ((0,), "(bot"), ((0, 0), "(one)"), ((1,), "(par"),
+        ((1, 0), "(tensor"), ((1, 0, 0), "(ax"), ((1, 0, 1), "(ax"),
+    ]
 
 
 def test_sim_neighbors_single_rule_trivial():

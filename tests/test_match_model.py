@@ -2,15 +2,20 @@
 a fresh ``OpSeq`` per call; and the graph itself: one build per diagram and
 per schema member, and read-only."""
 import random
+import sys
 from collections import Counter
 
 import pytest
 
 import match_model as model
 from conftest import random_with_cut
+from rep_model import _rep as model_rep
 from test_traces import _procedural_diagrams
 from proofdiag import bigtwist, oracle
 from proofdiag.diagram import (
+    AxGate,
+    BoundaryMismatch,
+    CutGate,
     Diagram,
     DiagramError,
     OpSeq,
@@ -18,6 +23,7 @@ from proofdiag.diagram import (
     L,
     TensorGate,
     TwistGate,
+    compose_seq,
     identity,
     interchange_canonical_form as canon,
 )
@@ -98,12 +104,21 @@ def _sem_path(phi):
 
 
 @pytest.fixture(scope="module")
-def sem_paths(cut_corpus) -> list:
-    """The Sem normalizations of the seeded cut corpus, of more seeded cut
-    derivations, and of the diagrams that take every procedural path."""
+def sem_derivations(cut_corpus) -> list:
+    """The seeded cut corpus and more seeded cut derivations."""
     rng = random.Random(26)
-    derivs = cut_corpus + [random_with_cut(rng, rng.randint(6, 16)) for _ in range(40)]
+    return cut_corpus + [random_with_cut(rng, rng.randint(6, 16)) for _ in range(40)]
+
+
+def _sem_paths(derivs) -> list:
     return [_sem_path(phi) for phi in [represent(d) for d in derivs] + _procedural_diagrams()]
+
+
+@pytest.fixture(scope="module")
+def sem_paths(sem_derivations) -> list:
+    """The Sem normalizations of ``sem_derivations`` and of the diagrams that
+    take every procedural path."""
+    return _sem_paths(sem_derivations)
 
 
 def test_matchers_agree_on_the_sem_normalizations_of_the_cut_corpus(sem_paths):
@@ -150,7 +165,6 @@ def test_matchers_agree_on_the_bfs_neighbourhood_of_the_critical_peak(monkeypatc
     # the oracle's unoriented neighbourhoods, six deep, with every match and
     # replacement they make checked against the model
     sem = polygraph("Sem")
-    peak = _critical_peak()
     replaced = []
 
     def checked_find(phi, schema, rule_name=""):
@@ -171,16 +185,95 @@ def test_matchers_agree_on_the_bfs_neighbourhood_of_the_critical_peak(monkeypatc
 
     monkeypatch.setattr(oracle, "find_matches", checked_find)
     monkeypatch.setattr(oracle, "replace_at", checked_replace)
-    seen = {peak}
-    frontier = [peak]
+    assert len(_neighbourhood(sem, _critical_peak())) > 300 and len(replaced) > 1000
+
+
+def _neighbourhood(p, phi) -> set:
+    """The oracle's unoriented neighbourhood of ``phi`` in ``p``, six deep."""
+    seen = {phi}
+    frontier = [phi]
     for _ in range(6):
         frontier = [
             nxt
             for phi in frontier
-            for _, nxt in oracle._neighbors(sem, phi)[0]
+            for _, nxt in oracle._neighbors(p, phi)[0]
             if nxt not in seen and not seen.add(nxt)
         ]
-    assert len(seen) > 300 and len(replaced) > 1000
+    return seen
+
+
+# ---------------------------------------------------------------------------
+# Placement from a firing sequence, and trusted construction
+
+
+@pytest.fixture
+def checked_builds(monkeypatch) -> Counter:
+    """Check every placement against the canonical form of its one-op
+    layers, and every diagram built with a trusted ``output`` against the
+    validating constructor; count the builders seen."""
+    seen = Counter()
+    to_diagram, init = OpSeq.to_diagram, Diagram.__init__
+
+    def checked_to_diagram(seq, canonical=False):
+        got = to_diagram(seq, canonical)
+        if canonical:
+            want = canon(to_diagram(seq))
+            assert got.layers == want.layers and got.input == want.input, got
+            assert got.output == want.output and got._canonical
+            seen["placements"] += 1
+        return got
+
+    def checked_init(self, input_word, layers=(), *, output=None):
+        init(self, input_word, layers, output=output)
+        if output is not None:
+            again = Diagram(self.input, self.layers)
+            assert again == self and again.output == self.output, self
+            seen[sys._getframe(1).f_code.co_name] += 1
+
+    monkeypatch.setattr(OpSeq, "to_diagram", checked_to_diagram)
+    monkeypatch.setattr(Diagram, "__init__", checked_init)
+    return seen
+
+
+TRUSTED = {"compose_seq", "compose_par", "to_diagram", "interchange_canonical_form"}
+
+
+def test_placement_and_trusted_builds_on_the_sem_normalizations(
+    sem_derivations, sem_paths, checked_builds
+):
+    assert _sem_paths(sem_derivations) == sem_paths
+    for d in sem_derivations:
+        phi = represent(d)
+        want = canon(model_rep(d, True))  # built by compose_seq and compose_par
+        assert phi.layers == want.layers and phi.output == want.output and phi._canonical
+    assert set(checked_builds) == TRUSTED | {"placements"}
+    assert checked_builds["placements"] > 280
+
+
+def test_placement_and_trusted_builds_on_the_bfs_neighbourhood(checked_builds):
+    assert len(_neighbourhood(polygraph("Sem"), _critical_peak())) > 300
+    assert set(checked_builds) == TRUSTED | {"placements"}
+    assert checked_builds["placements"] > 1000
+
+
+def test_placement_hoists_a_leaf_over_a_cut_where_the_canonical_form_keeps_the_gap():
+    seq = OpSeq((a, negate(a)))
+    seq.fire_at(CutGate(a, False), 0)
+    seq.fire_at(AxGate(b, False), 0)
+    placed = seq.to_diagram(canonical=True)
+    assert placed.layers == ((AxGate(b, False), CutGate(a, False)),)
+    assert placed == canon(seq.to_diagram())
+    gap = Diagram((a, negate(a)), ((CutGate(a, False), AxGate(b, False)),))
+    assert canon(gap) is gap
+
+
+def test_untrusted_builds_still_check_their_boundaries():
+    with pytest.raises(BoundaryMismatch):
+        compose_seq(identity((a,)), identity((b,)))
+    with pytest.raises(BoundaryMismatch):
+        Diagram((a, b), ((TwistGate(b, a),),))
+    with pytest.raises(BoundaryMismatch):
+        Diagram((a,), ((a,), (b,)))
 
 
 # ---------------------------------------------------------------------------

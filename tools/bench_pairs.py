@@ -18,7 +18,9 @@ method), the change's wins, ``worse_by`` (the change's median against the
 parent's, positive when worse) and whether that stays within the bound;
 the digests and ``failed`` counts of every pair; and, with ``--claim``, the
 verdict of the claim rule: the change wins at least nine in ten pairs and
-the medians differ by more than the parent's interquartile range.  The file
+the medians differ by more than the parent's interquartile range.  A claim
+whose workload is not in ``--workloads``, or whose metric is not one of
+``BENCHMARK.json``'s ``end_to_end`` metrics, exits 2 before any run.  The file
 is rewritten after every pair, so an interrupted run keeps what it measured.
 Standard library only.
 """
@@ -127,6 +129,19 @@ def claim_verdict(entry: dict, workload: str, metric: str, higher: bool) -> dict
     }
 
 
+def parse_claim(text: str, workloads: list, metrics: list) -> tuple:
+    """``workload:metric`` of a claim as (workload, metric, higher is
+    better); ValueError unless the workload is run and the metric is an
+    end-to-end one."""
+    workload, _, metric = text.partition(":")
+    if workload not in workloads:
+        raise ValueError(f"claimed workload {workload!r} is not in --workloads")
+    for m in metrics:
+        if m["name"] == metric:
+            return workload, metric, m["better"] == "higher"
+    raise ValueError(f"claimed metric {metric!r} is not an end_to_end metric of BENCHMARK.json")
+
+
 def parse_seeds(text: str) -> list:
     seeds = []
     for part in text.split(","):
@@ -163,10 +178,14 @@ def main(argv=None) -> int:
                                    f"clean archives; seeds {args.seeds}", "workloads": {}}},
     }
     seeds = parse_seeds(args.seeds)
-    claim_workload, _, claim_metric = (args.claim or "").partition(":")
+    workloads = args.workloads.split(",")
+    claim_workload = None
     if args.claim:
-        higher = next(m for m in metrics if m["name"] == claim_metric)["better"] == "higher"
-    for workload in args.workloads.split(","):
+        try:
+            claim_workload, claim_metric, higher = parse_claim(args.claim, workloads, metrics)
+        except ValueError as e:
+            ap.error(str(e))  # exits 2, before any run
+    for workload in workloads:
         runs = []
         for i, seed in enumerate(seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
