@@ -306,7 +306,10 @@ def subderivations(d: Derivation, path: tuple = ()) -> Iterator[tuple[tuple, Der
     while todo:
         path, x = todo.pop()
         yield path, x
-        todo += [(path + (i,), p) for i, p in reversed(tuple(enumerate(x.premises)))]
+        i = len(x.premises)
+        while i:  # the first premise goes on top
+            i -= 1
+            todo.append((path + (i,), x.premises[i]))
 
 
 def replace_subderivation(d: Derivation, path: tuple, new: Derivation) -> Derivation:

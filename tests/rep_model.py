@@ -2,7 +2,7 @@
 
 This is the ``_rep`` that ``proofdiag.translate`` used before the one-pass
 loop, unchanged: one recursion per rule, and per rule a ``compose_seq`` or
-``compose_par`` that re-validates every layer above it.  It is quadratic in
+``compose_par`` that copies every layer above it.  It is quadratic in
 the depth and recurses once per rule, so use it on small derivations only.
 """
 from __future__ import annotations
