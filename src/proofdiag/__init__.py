@@ -3,87 +3,7 @@
 A library for string-diagram rewriting over MLL signatures: five polygraphic
 rewriting systems, translation between sequent derivations and diagrams, a
 linear-time sequentializability check, diagram cut elimination, and a
-bounded-search equivalence oracle.
+bounded-search equivalence oracle.  Import what you need from its modules.
 """
-from .formula import Atom, Tensor, Par, One, Bot, ONE, BOT, atom, negate, size, parse, show
-from .diagram import (
-    Ctrl,
-    L,
-    R,
-    Diagram,
-    TwistGate,
-    ParGate,
-    TensorGate,
-    AxGate,
-    CutGate,
-    OneGate,
-    BotGate,
-    BigGate,
-    identity,
-    EMPTY,
-    single,
-    compose_seq,
-    compose_par,
-    parallel,
-    gate_count,
-    interchange_canonical_form,
-    BoundaryMismatch,
-)
-from .matching import MatchSite, StaleSite, find_matches, replace_at
-from .perm import Permutation, canonical_perm_diagram, diagram_to_perm, ladder
-from .sequent import (
-    Derivation,
-    InvalidRule,
-    NotApplicable,
-    ax,
-    bot,
-    check_derivation,
-    cut,
-    cut_step,
-    enumerate_derivations,
-    exchange,
-    one,
-    par,
-    provable,
-    sim_neighbors,
-    tensor,
-)
-from .polygraph import (
-    Polygraph,
-    RewriteTrace,
-    FuelExhausted,
-    UnknownPolygraph,
-    apply_once,
-    normalize,
-    polygraph,
-)
-from .interp import (
-    MonotoneInterpretation,
-    MissingInterpretation,
-    S_INTERPRETATION,
-    MLL_INTERPRETATION,
-    check_decrease,
-    cut_weight,
-    interpret,
-)
-from .translate import (
-    ComparisonCounter,
-    MalformedBranch,
-    NotSequentializable,
-    ProofStructure,
-    is_sequentializable,
-    represent,
-    sequentialize,
-    to_proof_structure,
-)
-from .oracle import (
-    ConclusionMismatch,
-    denotation,
-    detect_crossing_splits,
-    diagrams_equivalent,
-    eliminate_cuts,
-    equivalent,
-    untangle,
-)
 
 __version__ = "0.1.0"

@@ -40,7 +40,7 @@ from .diagram import (
     TwistGate,
 )
 from .matching import MatchSite, op_graph, rewrite_block, site_of, sorted_sites
-from .perm import Permutation, canonical_perm_diagram, ladder_left_word, ladder_right_word
+from .perm import Permutation, fire_perm, ladder_left_word, ladder_right_word
 
 
 class NoCrossingSplit(DiagramError):
@@ -305,8 +305,7 @@ def _swap_blocks(seq: OpSeq, at: int, n1: int, n2: int) -> None:
     """Fire the canonical twists moving the n1 live wires from ``at`` past
     the n2 after them."""
     images = [i + n2 for i in range(1, n1 + 1)] + [j - n1 for j in range(n1 + 1, n1 + n2 + 1)]
-    word = seq.output[at : at + n1 + n2]
-    seq.splice(canonical_perm_diagram(Permutation(tuple(images)), word), at)
+    fire_perm(seq, Permutation(tuple(images)), at)
 
 
 def apply_big_intro(phi: Diagram, site: MatchSite) -> Diagram:

@@ -627,20 +627,22 @@ class OpGraph:
     """The op graph of one diagram, read-only.
 
     It holds what ``OpSeq.of(phi)`` computes: the ops in canonical firing
-    order, as a tuple, and for every token its label, producer and consumer
+    order, as a tuple, for every token its label, producer and consumer
     (``labels``, ``producer`` and ``consumer``; an op index, or None at the
-    boundary).  It adds each op's ``layer`` and ``column`` (the wire offset
-    of its inputs in that layer of ``phi``) and ``by_family``, the op
-    indices of each gate family in firing order.  The tables are read-only
-    mappings over dicts that nothing else holds: tuples would read faster,
-    but built and dropped once per rewrite step they fill the interpreter's
-    tuple free lists and raise peak memory.  It has no ``fire_at`` or
-    ``splice``, its ops are named tuples and its fields cannot be set, so
-    one graph can be shared by every reader of ``phi``.
+    boundary), and ``word``, the tokens live after the last op.  It adds
+    each op's ``layer`` and ``column`` (the wire offset of its inputs in that
+    layer of ``phi``) and ``by_family``, the op indices of each gate family
+    in firing order.  The tables are read-only mappings over dicts that
+    nothing else holds: tuples would read faster, but built and dropped once
+    per rewrite step they fill the interpreter's tuple free lists and raise
+    peak memory.  It has no ``fire_at`` or ``splice``, its ops are named
+    tuples and its fields cannot be set, so one graph can be shared by every
+    reader of ``phi``.
     """
 
     __slots__ = (
-        "in_tokens", "ops", "labels", "producer", "consumer", "layer", "column", "by_family",
+        "in_tokens", "ops", "labels", "producer", "consumer", "word", "layer", "column",
+        "by_family",
     )
 
     def __init__(self, phi: Diagram):
@@ -657,6 +659,7 @@ class OpGraph:
             ("labels", MappingProxyType(seq.labels)),
             ("producer", MappingProxyType(seq.producer)),
             ("consumer", MappingProxyType(consumer)),
+            ("word", tuple(seq.word)),
             ("layer", MappingProxyType(layer)),
             ("column", MappingProxyType(column)),
             ("by_family", MappingProxyType({f: tuple(ix) for f, ix in by_family.items()})),

@@ -5,6 +5,7 @@ own parser bit-exactly.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import fields
 
 from .formula import FormulaParseError, parse as parse_formula
@@ -177,6 +178,10 @@ def derivation_text(d: Derivation) -> str:
     return derivation_str(d) + "\n"
 
 
+_POSITION = re.compile(r"[0-9]+")  # decimal digits only: no sign, space or empty piece
+_IMAGES = re.compile(r"[0-9]+(,[0-9]+)*")
+
+
 def parse_derivation(text: str) -> Derivation:
     toks = text.replace("(", " ( ").replace(")", " ) ").split()
     pos = 0
@@ -208,18 +213,22 @@ def parse_derivation(text: str) -> Derivation:
                 if depth == 0:
                     return "".join(parts)
 
+    def numbers(pattern, what) -> list:
+        tok = eat()
+        if not pattern.fullmatch(tok):
+            raise ParseError(f"expected {what}, got {tok!r}")
+        return [int(x) for x in tok.split(",")]
+
     def permutation() -> Permutation:
         eat("(")
-        imgs = []
-        while peek() != ")":
-            imgs.extend(int(x) for x in eat().split(",") if x)
+        imgs = numbers(_IMAGES, "images i1,...,in")
         eat(")")
         return Permutation(tuple(imgs))
 
     # how each kind of rule parameter is read, as derivation_str writes it
     read = {
         "Formula": lambda: parse_formula(formula_text()),
-        "int": lambda: int(eat()),
+        "int": lambda: numbers(_POSITION, "a position")[0],
         "Permutation": permutation,
     }
 

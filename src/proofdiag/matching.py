@@ -14,15 +14,16 @@ target in its place.
 Source schemas must consume every input wire (no pass-through columns);
 all shipped rule sources satisfy this.
 
-Every reader here and in ``bigtwist`` reads a diagram's wiring from one
-``OpGraph``, which ``op_graph`` builds through ``OpSeq.of``.  The graph is
-read-only: nobody fires into it or changes it, and whoever needs to build
-fires into a fresh ``OpSeq``.  So one graph serves every matcher, finder and
-rewrite of a step.  It lives only while the engine steps on its diagram:
-``op_graph`` keeps the last diagram asked for and its graph, keyed by
-identity, and the next diagram replaces both.  Diagrams are immutable, so a
-kept graph cannot go stale.  Schema graphs are kept per schema, in a bounded
-cache; the engine's schemas are the few fixed members of the five systems.
+Every reader here, in ``bigtwist`` and in ``translate`` reads a diagram's
+wiring from one ``OpGraph``, which ``op_graph`` builds through
+``OpSeq.of``.  The graph is read-only: nobody fires into it or changes it,
+and whoever needs to build fires into a fresh ``OpSeq``.  So one graph
+serves every matcher, finder and rewrite of a step.  It lives only while
+the engine steps on its diagram: ``op_graph`` keeps the last diagram asked
+for and its graph, keyed by identity, and the next diagram replaces both.
+Diagrams are immutable, so a kept graph cannot go stale.  Schema graphs are
+kept per schema, in a bounded cache; the engine's schemas are the few fixed
+members of the five systems.
 """
 from __future__ import annotations
 

@@ -10,24 +10,20 @@ Conventions:
   of n wires (the leftmost wire climbs to position k); ``ladder('right', n,
   k)`` realizes (k,1,2,...,k-1).
 
-The canonical diagram of a permutation is built by the recursion
-``lad_left(s(1)) . (id_1 * canonical(erase_first(s)))`` and is irreducible
-under the permutation polygraph's two rules.
+The canonical diagram of a permutation is defined by the recursion
+``lad_left(s(1)) . (id_1 * canonical(erase_first(s)))``, where
+``erase_first`` drops s(1) from the image list and closes the gap; it is
+irreducible under the permutation polygraph's two rules.  ``fire_perm``
+unrolls the recursion into one ``OpSeq``: the last wire's ladder fires first,
+and wire i climbs to its rank among s(i), ..., s(n).
+``tests/test_perm.py`` keeps the recursion as the model.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .formula import Atom
-from .diagram import (
-    Diagram,
-    DiagramError,
-    TwistGate,
-    compose_par,
-    compose_seq,
-    identity,
-    interchange_canonical_form,
-)
+from .diagram import Diagram, DiagramError, OpSeq, TwistGate, compose_par, identity
 
 
 class NonTwistGate(DiagramError):
@@ -153,34 +149,27 @@ def ladder(side: str, n: int, k: int, word: tuple = None) -> Diagram:
     return compose_par(lad, identity(tail))
 
 
-def erase_first(sigma: Permutation) -> Permutation:
-    """Remove s(1) from the image list, closing the gap.
-
-    This is the bijection S_{n+1} -> S_n used by the canonical-diagram
-    recursion; validated by the exhaustive round trip in the test suite.
-    """
-    k = sigma(1)
-    images = []
-    for i in range(2, len(sigma) + 1):
-        v = sigma(i)
-        images.append(v if v < k else v - 1)
-    return Permutation(tuple(images))
+def fire_perm(seq: OpSeq, sigma: Permutation, at: int) -> None:
+    """Fire the twists of sigma's canonical diagram on the live wires
+    [at, at + n) of ``seq``, one ladder per wire, the last wire's first."""
+    s = sigma.images
+    for i in range(len(s) - 1, -1, -1):
+        # wire i climbs past the later wires whose images are smaller
+        for j in range(at + i, at + i + sum(v < s[i] for v in s[i + 1 :])):
+            x, y = seq.word[j], seq.word[j + 1]
+            seq.fire_at(TwistGate(seq.labels[x], seq.labels[y]), j)
 
 
 def canonical_perm_diagram(sigma: Permutation, word: tuple = None) -> Diagram:
-    """The unique irreducible twist diagram realizing sigma."""
+    """The unique irreducible twist diagram realizing sigma, flagged canonical."""
     n = len(sigma)
     if word is None:
         word = _plain(n)
     if len(word) != n:
         raise BadIndex("word length disagrees with permutation size")
-    if n <= 1:
-        return identity(word)
-    sub = canonical_perm_diagram(erase_first(sigma), tuple(word[1:]))
-    top = compose_par(identity(word[:1]), sub)
-    k = sigma(1)
-    lad = compose_par(ladder_left_word(top.output[:k]), identity(top.output[k:]))
-    return interchange_canonical_form(compose_seq(top, lad))
+    seq = OpSeq(word)
+    fire_perm(seq, sigma, 0)
+    return seq.to_diagram(canonical=True)
 
 
 def diagram_to_perm(phi: Diagram) -> Permutation:

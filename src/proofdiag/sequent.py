@@ -208,20 +208,45 @@ def _copied(i: int, positions) -> tuple:
     return tuple([(i, k) for k in positions])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Derivation:
     """A rule over its premises; the conclusion is derived when it is built,
-    so an invalid derivation cannot be built."""
+    so an invalid derivation cannot be built.  ``==`` and ``hash`` read the
+    rule and the premises from explicit stacks, so any depth passes; the
+    hash is computed on first use, premises first, and kept."""
 
     rule: RuleTag
     premises: tuple
-    conclusion: Sequent = field(init=False, compare=False)
+    conclusion: Sequent = field(init=False)
 
     def __post_init__(self):
         r = self.rule
         if len(self.premises) != r.arity:
             raise InvalidRule(f"{r.head} takes {r.arity} premises, got {len(self.premises)}")
         object.__setattr__(self, "conclusion", r.conclude(tuple(p.conclusion for p in self.premises)))
+
+    def __hash__(self) -> int:
+        todo = [self]
+        while todo:
+            x = todo.pop()
+            missing = [p for p in x.premises if "_hash" not in p.__dict__]
+            if missing:
+                todo += [x, *missing]
+            elif "_hash" not in x.__dict__:
+                object.__setattr__(x, "_hash", hash((x.rule, *(p._hash for p in x.premises))))
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Derivation:
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            x, y = todo.pop()
+            if x is not y:
+                if x.rule != y.rule or len(x.premises) != len(y.premises):
+                    return False
+                todo += zip(x.premises, y.premises)
+        return True
 
     def __repr__(self) -> str:
         return f"<{derivation_str(self)}>"

@@ -4,9 +4,9 @@
 the correspondence theorems (controlled or uncontrolled signature), one gate
 per rule fired into one ``OpSeq``: the ax/one leaves first, left to right,
 then each other rule after its premises, at its first active formula.  An
-exchange fires the twists of its canonical permutation diagram between the
-control strings.  Before the canonical form, it costs the size of the
-one-op-per-layer diagram it returns.  ``tests/rep_model.py`` keeps the
+exchange fires the twists of its canonical permutation diagram
+(``perm.fire_perm``) between the control strings.  Before the canonical
+form, it costs the size of the one-op-per-layer diagram it returns.  ``tests/rep_model.py`` keeps the
 earlier recursive version as the differential model.
 
 ``is_sequentializable`` is the linear-time check: a controlled diagram
@@ -15,23 +15,31 @@ L, Gamma, R with Gamma control-free.  Only boundary labels are inspected;
 the work is proportional to the boundary length and independent of the gate
 count (a comparison counter is exposed for the benchmark).
 
-``sequentialize`` recovers a derivation in one pass over the ``OpSeq`` of
-the canonical form, keeping the branches still to peel on a stack.  Each
-step peels the first op of its branch by ``(-layer, -column)``, ties in
-firing order, that is not an ``ax``/``one`` leaf.  No remaining op consumes
-it, and only leaves come before it, so peeling it can move nothing but
-leaves and the order needs no new canonical form.  The branch's final word
-is edited in place: a twist's outputs become its inputs, a par's output its
-two inputs, a bot's output goes.  At a tensor or cut the gate's inputs
-(A, R, L, B) return to the word and the branch splits after the R: the ops
-that the wires of each half reach go to that side, an op reached from both
-is a ``MalformedBranch``, and only the smaller side is walked to its end.
-With n gates and final words of length at most w, a peel costs O(w) and the
-splits O(n log n) in all, so the pass is O(n (w + log n)).  Diagrams
-containing B-gates are first driven through the untangle relations (a
-~-preserving preprocessing) until B-free.  ``tests/seq_model.py`` keeps the
-earlier recursive version, which re-canonicalized after every peel, as the
-differential model.
+``sequentialize`` recovers a derivation in one pass over the shared op graph
+of the canonical form (``matching.op_graph``), keeping the branches still to
+peel on a stack.  It first refuses all but the diagrams the correspondence
+covers: the boundary must read L, Gamma, R, every gate must be controlled,
+and B-gates are driven out through the untangle relations (a ~-preserving
+preprocessing).  On what is left the peeling needs no checks of its own:
+the boundary's L and R belong to one chain of ax/one leaves joined by
+tensors and cuts, so every branch is connected, holds an unconsumed leaf
+only when it is that leaf alone, and splits cleanly after its gate's R
+(criterion 3 checks this on every diagram of at most 5 gates).  An
+uncontrolled gate has no control strings around its formulas, so among
+controlled ones it could join two branches by a wire or leave a branch of
+leaves alone; that is why such a mix is refused up front.  Each step
+peels the first op of its branch by ``(-layer, -column)``, ties in firing
+order, that is not an ``ax``/``one`` leaf.  No remaining op consumes it, and
+only leaves come before it, so peeling it can move nothing but leaves and
+the order needs no new canonical form.  The branch's final word is edited in
+place: a twist's outputs become its inputs, a par's output its two inputs, a
+bot's output goes.  At a tensor or cut the gate's inputs (A, R, L, B) return
+to the word and the branch splits after the R: the ops that the wires of
+each half reach go to that side, and only the smaller side is walked to its
+end.  With n gates and final words of length at most w, a peel costs O(w)
+and the splits O(n log n) in all, so the pass is O(n (w + log n)).
+``tests/seq_model.py`` keeps the earlier recursive version, which
+re-canonicalized after every peel, as the differential model.
 """
 from __future__ import annotations
 
@@ -48,6 +56,7 @@ from .diagram import (
     Diagram,
     DiagramError,
     OneGate,
+    OpGraph,
     OpSeq,
     ParGate,
     TensorGate,
@@ -58,7 +67,8 @@ from .diagram import (
     gate_count,
     interchange_canonical_form,
 )
-from .perm import Permutation, canonical_perm_diagram
+from .matching import op_graph
+from .perm import Permutation, fire_perm
 from .polygraph import normalize, polygraph
 from .sequent import (
     AxR,
@@ -137,7 +147,7 @@ def _rep(d: Derivation, c: bool) -> Diagram:
         if not ps:
             continue
         if isinstance(r, ExchangeR):
-            seq.splice(canonical_perm_diagram(r.perm, ps[0].conclusion), col + off)
+            fire_perm(seq, r.perm, col + off)
             continue
         lens = tuple(len(p.conclusion) for p in ps)
         copied = set(r.origin(lens))
@@ -216,7 +226,6 @@ def sequentialize(phi: Diagram) -> Derivation:
     return d
 
 
-_PEELABLE = (TwistGate, ParGate, BotGate, TensorGate, CutGate)
 _UNPEEL = {  # the rule a unary peel undoes, given the sequent length and the column
     TwistGate: lambda d, n, col: exchange(d, Permutation.transposition(n, col)),
     ParGate: lambda d, n, col: par(d, col),
@@ -225,70 +234,58 @@ _UNPEEL = {  # the rule a unary peel undoes, given the sequent length and the co
 
 
 def _seq(phi: Diagram) -> Derivation:
-    """Peel the ops of one ``OpSeq`` of ``phi`` (canonical, empty input),
-    keeping the branches still to peel on an explicit stack."""
-    seq = OpSeq.of(phi)
-    ops = seq.ops
-    peel_key = [(-li, -col, o) for o, (li, col, _) in enumerate(phi.gates())]
-    place = _planar_order(seq)
+    """Peel the ops of the op graph of ``phi`` (canonical, controlled,
+    B-free, boundary L Gamma R), keeping the branches still to peel on an
+    explicit stack."""
+    g = op_graph(phi)
+    ops = g.ops
+    peel_key = [(-g.layer[o], -g.column[o], o) for o in range(len(ops))]
+    place = _planar_order(ops)
     owner = [0] * len(ops)  # the label of the op's branch, -1 once peeled
     nodes: list = [None]  # per branch: (its unary peels in order, its leaf or split)
     order = sorted(range(len(ops)), key=peel_key.__getitem__)
     # (label, node, ops in peel order, scan start, live ops, final word); left branch on top
-    stack = [(0, 0, order, 0, len(ops), list(seq.word))]
-    first = True  # the first split walks both sides, to drop ops no boundary wire reaches
+    stack = [(0, 0, order, 0, len(ops), list(g.word))]
     while stack:
         label, node, members, i, alive, word = stack.pop()
         peels = []
         while alive > 1:
-            while i < len(members) and (
-                owner[members[i]] != label or not isinstance(ops[members[i]].gate, _PEELABLE)
-            ):
+            while owner[members[i]] != label or isinstance(ops[members[i]].gate, (AxGate, OneGate)):
                 i += 1
-            if i == len(members):
-                raise NotSequentializable("no peelable bottom gate")
             o = members[i]
-            op, g, n = ops[o], ops[o].gate, len(word) - 2
+            op, gate, n = ops[o], ops[o].gate, len(word) - 2
             owner[o] = -1
             alive -= 1
             if op.out_tokens:
                 col = word.index(op.out_tokens[0])
             else:  # a cut: its inputs return at their planar place
                 col = bisect_left(word, place[op.in_tokens[0]], key=place.__getitem__)
-            if isinstance(g, TwistGate):
+            if isinstance(gate, TwistGate):
                 word[col] = op.in_tokens[0]
                 word[word.index(op.out_tokens[1])] = op.in_tokens[1]
             else:
                 word[col : col + len(op.out_tokens)] = op.in_tokens
-            if not isinstance(g, (TensorGate, CutGate)):
-                peels.append((type(g), n, col))
+            if not isinstance(gate, (TensorGate, CutGate)):
+                peels.append((type(gate), n, col))
                 continue
             # the inputs (A, R, L, B) sit at col: the left branch ends after the R
             halves = (word[: col + 2], word[col + 2 :])
-            sides = _split(seq, owner, label, halves, first)
-            first = False
+            s, side = _split(g, owner, label, halves)
             kids = (len(nodes), len(nodes) + 1)
             nodes += [None, None]
-            nodes[node] = (peels, (type(g), *kids))
-            for s in (1, 0):
-                if sides[s] is None:  # not walked: the rest of this branch
-                    stack.append((label, kids[s], members, i, alive - len(sides[1 - s]), halves[s]))
+            nodes[node] = (peels, (type(gate), *kids))
+            for k in (1, 0):
+                if k != s:  # not walked: the rest of this branch
+                    stack.append((label, kids[k], members, i, alive - len(side), halves[k]))
                 else:
-                    for o in sides[s]:
-                        owner[o] = kids[s]
-                    found = sorted(sides[s], key=peel_key.__getitem__)
-                    stack.append((kids[s], kids[s], found, 0, len(found), halves[s]))
+                    for o in side:
+                        owner[o] = kids[k]
+                    side.sort(key=peel_key.__getitem__)
+                    stack.append((kids[k], kids[k], side, 0, len(side), halves[k]))
             break
-        else:
-            if alive == 0:
-                raise NotSequentializable("no gates")
-            g = ops[next(o for o in members if owner[o] == label)].gate
-            if isinstance(g, AxGate):
-                nodes[node] = (peels, ax(g.formula))
-            elif isinstance(g, OneGate):
-                nodes[node] = (peels, one())
-            else:
-                raise NotSequentializable(f"single gate {g} is not a proof diagram")
+        else:  # the branch is one leaf
+            gate = ops[next(o for o in members if owner[o] == label)].gate
+            nodes[node] = (peels, ax(gate.formula) if isinstance(gate, AxGate) else one())
     done: list = [None] * len(nodes)
     for k in range(len(nodes) - 1, -1, -1):  # a split's branches come after it
         peels, end = nodes[k]
@@ -302,13 +299,13 @@ def _seq(phi: Diagram) -> Derivation:
     return done[0]
 
 
-def _planar_order(seq: OpSeq) -> dict:
-    """A left-to-right place for every token of an empty-input ``OpSeq``,
-    which every live word respects: a gate's outputs go right after its
-    last input, a nullary gate's right after its left neighbour."""
+def _planar_order(ops) -> dict:
+    """A left-to-right place for every token of the ops of an empty-input
+    diagram, which every live word respects: a gate's outputs go right
+    after its last input, a nullary gate's right after its left neighbour."""
     after: dict = {}  # token -> the next token; the key None is the head
     live: list = []
-    for op in seq.ops:
+    for op in ops:
         k = len(op.in_tokens)
         at = op.in_tokens[-1] if k else (live[op.pos - 1] if op.pos else None)
         tail = after.get(at)
@@ -325,46 +322,35 @@ def _planar_order(seq: OpSeq) -> dict:
     return place
 
 
-def _split(seq: OpSeq, owner: list, label: int, halves: tuple, full: bool) -> list:
-    """The ops of branch ``label`` whose wires reach each half of its word.
+def _split(g: OpGraph, owner: list, label: int, halves: tuple) -> tuple:
+    """The side (0 or 1) of branch ``label``'s word, cut into ``halves``,
+    whose wires reach the fewer of its ops, and those ops.
 
-    The two sides are walked in turns, and an op reached from both raises
-    ``MalformedBranch``.  Unless ``full``, the walk stops when one side is
-    exhausted, and the other side's entry is None: it is the rest of the
-    branch.  With ``full`` both are walked to the end, and an op that neither
-    reaches belongs to neither.
+    The two sides are walked in turns until one is exhausted; the ops that
+    the other reaches are the rest of the branch.  No op is reached from
+    both: the guards of ``sequentialize`` make the branch split cleanly.
     """
-    tok_side: dict = {}
-    op_side: dict = {}
-    found: list = [[], []]
+    seen: set = set()
+    found: tuple = ([], [])
 
     def reach(o, s):
-        if o is None or owner[o] != label:
-            return
-        if o not in op_side:
-            op_side[o] = s
+        if o is not None and owner[o] == label and o not in seen:
+            seen.add(o)
             found[s].append(o)
-        elif op_side[o] != s:
-            raise MalformedBranch("branches share a wire")
 
     for s, part in enumerate(halves):
         for t in part:
-            tok_side[t] = s
-            reach(seq.producer[t], s)
+            reach(g.producer[t], s)
     walked = [0, 0]
     while True:
         for s in (0, 1):
-            if walked[s] < len(found[s]):
-                op = seq.ops[found[s][walked[s]]]
-                walked[s] += 1
-                for t in op.in_tokens + op.out_tokens:
-                    if tok_side.setdefault(t, s) != s:
-                        raise MalformedBranch("branches share a wire")
-                    reach(seq.producer[t], s)
-                    reach(seq.consumer.get(t), s)
-        ended = [walked[s] == len(found[s]) for s in (0, 1)]
-        if all(ended) or (any(ended) and not full):
-            return [f if e else None for f, e in zip(found, ended)]
+            if walked[s] == len(found[s]):
+                return s, found[s]
+            op = g.ops[found[s][walked[s]]]
+            walked[s] += 1
+            for t in op.in_tokens + op.out_tokens:
+                reach(g.producer[t], s)
+                reach(g.consumer[t], s)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +397,7 @@ def to_proof_structure(phi: Diagram) -> ProofStructure:
     """
     if controlled_signature(phi):
         raise DiagramError("proof structures are over the uncontrolled signature")
-    seq = OpSeq.of(phi)
+    seq = op_graph(phi)
     cells = []
     cell_of: dict = {}
     for i, op in enumerate(seq.ops):

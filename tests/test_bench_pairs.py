@@ -61,6 +61,22 @@ def test_summarize():
     assert not bench_pairs.summarize(_runs([1], [1], digest="e"), METRICS)["digests_equal"]
 
 
+def test_metric_verdicts():
+    def verdict(parent, change):
+        entry = bench_pairs.summarize(_runs(parent, change), METRICS)
+        return entry["metrics"]["items_per_s"]["verdict"]
+
+    # every change run beats every parent run
+    assert verdict([100, 110, 105, 95, 102], [111, 115, 120, 112, 118]) == "better"
+    # a parent spread wider than the bound cannot tell the medians apart
+    assert verdict([60, 100, 140, 80, 120], [100, 100, 100, 100, 100]) == "unresolved"
+    # a tight parent, and a change median inside or outside the bound
+    assert verdict([100, 101, 99, 100, 100], [90, 101, 95, 92, 98]) == "within"
+    assert verdict([100, 101, 99, 100, 100], [70, 72, 71, 101, 69]) == "worse"
+    # lower is better for wall_s: the change's 1.0 s beats every 2.0 s run
+    assert bench_pairs.summarize(_runs([1], [1]), METRICS)["metrics"]["wall_s"]["verdict"] == "better"
+
+
 def test_claim_verdict():
     def verdict(parent, change):
         entry = bench_pairs.summarize(_runs(parent, change), METRICS)

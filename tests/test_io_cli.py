@@ -182,7 +182,13 @@ def test_cli_check_and_exit_codes(tmp_path):
     bad.write_text("(par (par (ax a)))\n")
     assert _cli("check", str(bad)).returncode == 2  # fails to parse as valid
     # rules that do not apply to their premises fail on read
-    for text in ("(par 2 (ax a))", "(ex (1,2,3) (ax a))", "(cut (ax a) (ax b))"):
+    # and so do integers that are not plain decimal digits, or images that are
+    # not one list i1,...,in
+    for text in (
+        "(par 2 (ax a))", "(ex (1,2,3) (ax a))", "(cut (ax a) (ax b))",
+        "(ex (2,,1) (ax a))", "(ex (2 1) (ax a))", "(ex (,2,1,) (ax a))", "(ex (+2,1) (ax a))",
+        "(par +1 (ax a))",
+    ):
         bad.write_text(text + "\n")
         r = _cli("check", str(bad))
         assert r.returncode == 2 and r.stderr.startswith("parse error:"), text

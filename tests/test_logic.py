@@ -61,10 +61,8 @@ def test_tensor_wrong_active_is_invalid():
 @pytest.mark.parametrize("n", [600, 5000])
 def test_walks_over_stacked_bots_do_not_recurse(n):
     # one rule per bot: counting, listing, replacing and rebuilding must not
-    # recurse per rule (the dataclass hash and == still do, so none is used)
-    d = one()
-    for _ in range(n):
-        d = bot(d)
+    # recurse per rule
+    d = _bots(n)
     assert rule_count(d) == rule_count(d, include_exchange=False) == n + 1
     assert [p for p, _ in subderivations(d)] == [(0,) * k for k in range(n + 1)]
     new = replace_subderivation(d, (0,) * n, Derivation(ExchangeR(sw), (exchange(ax(a), sw),)))
@@ -72,6 +70,36 @@ def test_walks_over_stacked_bots_do_not_recurse(n):
     assert rule_count(new) == n + 3 and rule_count(new, include_exchange=False) == n + 1
     # rebuilding fuses the two exchanges into the identity, which goes
     assert derivation_str(_rebuild(new)) == "(bot " * n + "(ax a)" + ")" * n
+
+
+def _bots(n):
+    d = one()
+    for _ in range(n):
+        d = bot(d)
+    return d
+
+
+@pytest.mark.parametrize("n", [300, 600, 5000])
+def test_equality_of_stacked_bots_does_not_recurse(n):
+    d, e = _bots(n), _bots(n)
+    assert d is not e and d == e and not d != e
+    assert d != _bots(n + 1)  # the two differ only at the top of the stack of bots
+
+
+@pytest.mark.parametrize("n", [600, 5000])
+def test_hash_of_stacked_bots_does_not_recurse(n):
+    d, e = _bots(n), _bots(n)
+    assert hash(d) == hash(e) == hash(d)
+    assert {d: 1}[e] == 1
+
+
+@pytest.mark.parametrize("n", [300, 600])
+def test_sim_neighbors_of_stacked_bots_do_not_recurse(n):
+    # each pair of adjacent bots swaps through an exchange
+    d = _bots(n)
+    ns = sim_neighbors(d)
+    assert len(ns) == n - 1 and d not in ns
+    assert all(x.conclusion == d.conclusion for x in ns)
 
 
 def test_subderivations_walk_in_preorder():

@@ -333,6 +333,7 @@ def test_the_shared_graph_is_read_only():
     assert g.ops == tuple(seq.ops)
     assert g.labels == seq.labels and g.producer == seq.producer
     assert g.consumer == {t: seq.consumer.get(t) for t in seq.labels}
+    assert g.word == tuple(seq.word)
     assert [(g.layer[i], g.column[i]) for i in range(len(g.ops))] == [
         (li, col) for li, col, _ in phi.gates()
     ]

@@ -3,21 +3,58 @@ import random
 
 import pytest
 
-from proofdiag.diagram import compose_seq, gate_count, identity
+from proofdiag.diagram import (
+    compose_par,
+    compose_seq,
+    gate_count,
+    identity,
+    interchange_canonical_form,
+)
+from proofdiag.formula import atom
 from proofdiag.perm import (
     BadIndex,
     Permutation,
     STRAND,
     canonical_perm_diagram,
     diagram_to_perm,
-    erase_first,
     ladder,
+    ladder_left_word,
     perm_twist_count,
 )
 
 
 def all_perms(n):
     return [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
+
+
+# The definition of the canonical diagram, as the model: the recursion
+# lad_left(s(1)) . (id_1 * canonical(erase_first(s))), canonicalized per level.
+
+
+def erase_first(sigma):
+    """Remove s(1) from the image list, closing the gap: S_{n+1} -> S_n."""
+    k = sigma(1)
+    return Permutation(tuple(v if v < k else v - 1 for v in sigma.images[1:]))
+
+
+def model_perm_diagram(sigma, word):
+    if len(sigma) <= 1:
+        return identity(word)
+    sub = model_perm_diagram(erase_first(sigma), tuple(word[1:]))
+    top = compose_par(identity(word[:1]), sub)
+    k = sigma(1)
+    lad = compose_par(ladder_left_word(top.output[:k]), identity(top.output[k:]))
+    return interchange_canonical_form(compose_seq(top, lad))
+
+
+def test_fired_diagram_equals_the_recursive_definition_up_to_s6():
+    for n in range(7):
+        atoms = tuple(atom(f"x{i}") for i in range(n))
+        for s in all_perms(n):
+            for word in ((STRAND,) * n, atoms):
+                got, want = canonical_perm_diagram(s, word), model_perm_diagram(s, word)
+                assert (got.input, got.layers, got.output) == (want.input, want.layers, want.output)
+                assert got._canonical, s
 
 
 def test_identity_diagram_has_no_gates():

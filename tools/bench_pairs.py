@@ -15,7 +15,8 @@ change's ``BENCHMARK.json``.
 ``BENCH_<NAME>.json`` gets the layout of ``BENCH_sequentialize.json``: per
 workload and metric the runs of each side, their quartiles (inclusive
 method), the change's wins, ``worse_by`` (the change's median against the
-parent's, positive when worse) and whether that stays within the bound;
+parent's, positive when worse), whether that stays within the bound, and
+the metric's ``verdict`` (``metric_verdict``);
 the digests and ``failed`` counts of every pair; and, with ``--claim``, the
 verdict of the claim rule: the change wins at least nine in ten pairs and
 the medians differ by more than the parent's interquartile range.  A claim
@@ -78,6 +79,19 @@ def quartiles(xs: list) -> list:
     return [round(q1, 4), round(q2, 4), round(q3, 4)]
 
 
+def metric_verdict(par: list, chg: list, pq: list, worse_by: float, bound: float,
+                   higher: bool) -> str:
+    """``better`` when every change run beats every parent run; otherwise
+    ``unresolved`` when the parent's own spread (interquartile range over
+    median) is wider than the bound, so the medians cannot tell; otherwise
+    ``within`` or ``worse`` the bound."""
+    if (min(chg) > max(par)) if higher else (max(chg) < min(par)):
+        return "better"
+    if pq[1] and (pq[2] - pq[0]) / pq[1] > bound:
+        return "unresolved"
+    return "within" if worse_by <= bound else "worse"
+
+
 def summarize(runs: list, metrics: list) -> dict:
     """Per-workload entry from ``runs``, a list of (parent, change) records."""
     out = {
@@ -105,6 +119,7 @@ def summarize(runs: list, metrics: list) -> dict:
             "worse_by": worse_by,
             "bound": m["bound"],
             "within_bound": worse_by <= m["bound"],
+            "verdict": metric_verdict(par, chg, pq, worse_by, m["bound"], higher),
             "parent": par,
             "change": chg,
         }
