@@ -14,9 +14,8 @@ The canonical diagram of a permutation is defined by the recursion
 ``lad_left(s(1)) . (id_1 * canonical(erase_first(s)))``, where
 ``erase_first`` drops s(1) from the image list and closes the gap; it is
 irreducible under the permutation polygraph's two rules.  ``fire_perm``
-unrolls the recursion into one ``OpSeq``: the last wire's ladder fires first,
-and wire i climbs to its rank among s(i), ..., s(n).
-``tests/test_perm.py`` keeps the recursion as the model.
+unrolls the recursion into one ``OpSeq`` (the last wire's ladder first; wire
+i climbs to its rank among s(i..n)); ``tests/test_perm.py`` keeps the model.
 """
 from __future__ import annotations
 

@@ -226,15 +226,18 @@ class Derivation:
         object.__setattr__(self, "conclusion", r.conclude(tuple(p.conclusion for p in self.premises)))
 
     def __hash__(self) -> int:
-        todo = [self]
-        while todo:
-            x = todo.pop()
-            missing = [p for p in x.premises if "_hash" not in p.__dict__]
-            if missing:
-                todo += [x, *missing]
-            elif "_hash" not in x.__dict__:
-                object.__setattr__(x, "_hash", hash((x.rule, *(p._hash for p in x.premises))))
-        return self._hash
+        h = self.__dict__.get("_hash")
+        if h is None:
+            order, todo = [], [self]
+            while todo:  # the nodes not hashed yet, in preorder
+                x = todo.pop()
+                if "_hash" not in x.__dict__:
+                    order.append(x)
+                    todo += x.premises
+            for x in reversed(order):  # premises first
+                x.__dict__["_hash"] = hash((x.rule, x.premises))
+            h = self.__dict__["_hash"]
+        return h
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not Derivation:
@@ -536,9 +539,9 @@ def sim_neighbors(d: Derivation) -> list[Derivation]:
                 nd = _rebuild(replace_subderivation(d, path, cand))
             except InvalidRule:
                 continue
-            if nd.conclusion != d.conclusion or nd == d:
-                continue
-            out[nd] = True
+            if nd.conclusion == d.conclusion:
+                out[nd] = True
+    out.pop(d, None)  # one hash per candidate, no walk to compare it with d
     return list(out)
 
 

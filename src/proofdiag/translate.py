@@ -24,10 +24,9 @@ preprocessing).  On what is left the peeling needs no checks of its own:
 the boundary's L and R belong to one chain of ax/one leaves joined by
 tensors and cuts, so every branch is connected, holds an unconsumed leaf
 only when it is that leaf alone, and splits cleanly after its gate's R
-(criterion 3 checks this on every diagram of at most 5 gates).  An
-uncontrolled gate has no control strings around its formulas, so among
-controlled ones it could join two branches by a wire or leave a branch of
-leaves alone; that is why such a mix is refused up front.  Each step
+(criterion 3 checks this on every diagram of at most 5 gates).  Uncontrolled
+gates lack the control strings, so among controlled ones they could join two
+branches by a wire or leave only leaves: such a mix is refused.  Each step
 peels the first op of its branch by ``(-layer, -column)``, ties in firing
 order, that is not an ``ax``/``one`` leaf.  No remaining op consumes it, and
 only leaves come before it, so peeling it can move nothing but leaves and
@@ -95,7 +94,7 @@ class NotSequentializable(DiagramError):
 
 
 class MalformedBranch(DiagramError):
-    """A split did not yield two boundary-complete branches."""
+    """Branches not recovered: B-gates that do not untangle, or a wrong conclusion."""
 
 
 # ---------------------------------------------------------------------------
