@@ -4,9 +4,9 @@
 the correspondence theorems (controlled or uncontrolled signature), one gate
 per rule fired into one ``OpSeq``: the ax/one leaves first, left to right,
 then each other rule after its premises, at its first active formula.  An
-exchange fires the twists of its canonical permutation diagram
-(``perm.fire_perm``) between the control strings.  Before the canonical
-form, it costs the size of the one-op-per-layer diagram it returns.  ``tests/rep_model.py`` keeps the
+exchange fires the twists of its canonical permutation diagram between the
+control strings.  Before the canonical form, it costs the size of the
+one-op-per-layer diagram it returns.  ``tests/rep_model.py`` keeps the
 earlier recursive version as the differential model.
 
 ``is_sequentializable`` is the linear-time check: a controlled diagram

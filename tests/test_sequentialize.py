@@ -153,13 +153,13 @@ def test_sequentializing_a_normal_form_reads_its_shared_graph(cut_corpus, monkey
     assert len(cut_corpus) >= 5 and built == []
 
 
-# A diagram of controlled gates whose boundary passes is_sequentializable has
-# no error path to reach: the boundary's L and R belong to a chain of ax/one
-# leaves joined by tensors and cuts, so every branch is connected, has an
-# unconsumed ax/one leaf only when it is that leaf alone, and splits cleanly
-# after its gate's R.  An uncontrolled gate inside a controlled diagram, which
-# no diagram file can express, breaks this; sequentialize refuses such a
-# diagram before it peels.
+# A diagram of controlled gates whose boundary passes is_sequentializable
+# needs no check in the peeling loop: the boundary's L and R belong to a chain
+# of ax/one leaves joined by tensors and cuts, so every branch is connected,
+# has an unconsumed ax/one leaf only when it is that leaf alone, and splits
+# cleanly after its gate's R. An uncontrolled gate inside a controlled
+# diagram, which no diagram file can express, breaks this; sequentialize
+# refuses such a diagram before it peels.
 
 
 def _mixed_walk(rng):
