@@ -157,7 +157,8 @@ def crossing_splits_of(phi: Diagram) -> list[Split]:
 
 
 def find_untangle(phi: Diagram, side: str) -> list[MatchSite]:
-    """Gates whose outputs all enter one side's block of a B-gate."""
+    """Gates whose outputs all enter one side's block of a B-gate, side by
+    side: a wire between them would be cut out with them."""
     tseq = op_graph(phi)
     rule = f"untangle-{side}"
     sites = []
@@ -173,8 +174,8 @@ def find_untangle(phi: Diagram, side: str) -> list[MatchSite]:
                 bop.in_tokens.index(t) if t in bop.in_tokens else -1
                 for t in gop.out_tokens
             ]
-            if all(p in rng for p in pos):
-                j = min(pos) - rng.start
+            if pos == list(range(pos[0], pos[0] + len(pos))) and pos[0] in rng and pos[-1] in rng:
+                j = pos[0] - rng.start
                 sites.append(site_of(phi, rule, (gi, bi), payload=(side, j)))
     return sorted_sites(sites)
 

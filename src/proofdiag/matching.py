@@ -7,12 +7,13 @@ can be made consecutive by interchange moves with the schema's boundary
 occupying a contiguous wire window - exactly the subdiagram condition
 chi_d . (id * phi * id) . chi_u.
 
-A block is cut out in one place, ``_block``: matching compares the block it
-returns with the instantiated schema, and ``rewrite_block`` splices a
-target in its place.
-
-Source schemas must consume every input wire (no pass-through columns);
-all shipped rule sources satisfy this.
+Both checks read the target's op graph.  ``_order_block`` finds in one walk
+an order that makes the gates consecutive, if there is one.  The window
+holds when the images of the schema's input wires lie side by side, in
+order, in the word the block enters; that is exact because source schemas
+are connected and consume every input wire (all shipped rule sources do),
+and the embedding keeps port order.  ``rewrite_block`` splices a target in
+the place of the block that ``_block`` cuts out.
 
 Every reader here, in ``bigtwist`` and in ``translate`` reads a diagram's
 wiring from one ``OpGraph``, which ``op_graph`` builds through
@@ -134,15 +135,9 @@ def unify_formula(pat: Formula, val: Formula, subst: dict) -> bool:
         return pat == val
     if isinstance(pat, (One, Bot)):
         return type(pat) is type(val)
-    if isinstance(pat, Tensor):
+    if isinstance(pat, (Tensor, Par)):
         return (
-            isinstance(val, Tensor)
-            and unify_formula(pat.left, val.left, subst)
-            and unify_formula(pat.right, val.right, subst)
-        )
-    if isinstance(pat, Par):
-        return (
-            isinstance(val, Par)
+            type(val) is type(pat)
             and unify_formula(pat.left, val.left, subst)
             and unify_formula(pat.right, val.right, subst)
         )
@@ -154,10 +149,8 @@ def subst_formula(pat: Formula, subst: dict) -> Formula:
         return subst[pat.name]
     if isinstance(pat, NVar):
         return negate(subst[pat.name])
-    if isinstance(pat, Tensor):
-        return Tensor(subst_formula(pat.left, subst), subst_formula(pat.right, subst))
-    if isinstance(pat, Par):
-        return Par(subst_formula(pat.left, subst), subst_formula(pat.right, subst))
+    if isinstance(pat, (Tensor, Par)):
+        return type(pat)(subst_formula(pat.left, subst), subst_formula(pat.right, subst))
     return pat
 
 
@@ -272,58 +265,55 @@ def _embed(sseq: OpGraph, tseq: OpGraph, t0: int) -> Optional[tuple[dict, dict, 
 # Block extraction (interchange feasibility)
 
 
-def _bubble_block(ops: list[Op], flags: list[bool]) -> Optional[tuple[list[Op], int, int]]:
-    """Reorder ops by adjacent commutations so flagged ops are consecutive."""
-    ops, flags = list(ops), list(flags)
-    while True:
-        gidx = [i for i, f in enumerate(flags) if f]
-        lo, hi = gidx[0], gidx[-1]
-        inner = [i for i in range(lo + 1, hi) if not flags[i]]
-        if not inner:
-            return ops, lo, hi
-        j = inner[0]
-        # move it backward, past the flagged ops above it, or else forward
-        for swaps in (range(j - 1, lo - 1, -1), range(j, hi)):
-            trial_ops, trial_flags = list(ops), list(flags)
-            for k in swaps:
-                sw = swap_adjacent(trial_ops, k)
-                if sw is None:
-                    break
-                trial_ops[k], trial_ops[k + 1] = sw
-                trial_flags[k], trial_flags[k + 1] = trial_flags[k + 1], trial_flags[k]
-            else:
-                ops, flags = trial_ops, trial_flags
+def _order_block(tseq: OpGraph, g_ops) -> Optional[tuple[list[Op], int, int, list]]:
+    """Reorder the ops of ``tseq`` by adjacent interchanges so that the ops
+    ``g_ops`` are consecutive: the ops, the block's first and last index and
+    the tokens live as the block starts; None when no order makes them so.
+
+    One walk over the span from the first to the last of ``g_ops`` splits it
+    stably into the ops above the block, the block and the ops below it.  A
+    member moves up past the ops already sent below, or the set is not
+    convex.  Any other op moves up past the block and the ops below it, or
+    else stays below.  Ops outside the span keep their place.
+    """
+    ops, members = list(tseq.ops), set(g_ops)
+    top = below = min(members)  # ops[top:below] is the block, ops[below:i] go below it
+    for i in range(top, max(members) + 1):
+        member = i in members
+        stop = below if member else top
+        tail = ops[stop : i + 1]
+        for k in range(i - 1, stop - 1, -1):
+            sw = swap_adjacent(ops, k)
+            if sw is None:
+                if member:
+                    return None
+                ops[stop : i + 1] = tail
                 break
+            ops[k], ops[k + 1] = sw
         else:
-            return None
+            top += not member
+            below += 1
+    word = list(tseq.in_tokens)
+    for op in ops[:top]:
+        word[op.pos : op.pos + len(op.in_tokens)] = op.out_tokens
+    return ops, top, below - 1, word
 
 
 def _block(tseq: OpGraph, g_ops, extend=None) -> tuple[list[Op], int, int, int, OpSeq]:
     """Cut the ops ``g_ops`` out of ``tseq`` as one block.
 
-    The ops are bubbled together by interchange; the block's window runs
-    from the leftmost to the rightmost wire they consume, widened by
+    ``_order_block`` makes the ops consecutive; the block's window runs from
+    the leftmost to the rightmost wire they consume, widened by
     ``extend(labels, lo, hi) -> (lo, hi)`` on the block-entry word.  Returns
     the reordered ops, the block's first and last index in them, the
     window's first column and the block's firings over the window.
     """
-    members = set(g_ops)
-    blk = _bubble_block(tseq.ops, [i in members for i in range(len(tseq.ops))])
+    blk = _order_block(tseq, g_ops)
     if blk is None:
         raise MatchError("ops cannot be made consecutive by interchange")
-    ops, lo, hi = blk
-    word = list(tseq.in_tokens)
-    for op in ops[:lo]:
-        word[op.pos : op.pos + len(op.in_tokens)] = op.out_tokens
-    produced = set()
-    consumed_pos: list[int] = []
-    for op in ops[lo : hi + 1]:
-        consumed_pos += [word.index(t) for t in op.in_tokens if t not in produced]
-        produced.update(op.out_tokens)
-    if consumed_pos:
-        base, last = min(consumed_pos), max(consumed_pos)
-    else:
-        base, last = ops[lo].pos, ops[lo].pos - 1
+    ops, lo, hi, word = blk
+    cols = [i for i, t in enumerate(word) if tseq.consumer[t] in g_ops]
+    base, last = (cols[0], cols[-1]) if cols else (ops[lo].pos, ops[lo].pos - 1)
     labels = [tseq.labels[t] for t in word]
     if extend is not None:
         base, last = extend(labels, base, last)
@@ -377,20 +367,28 @@ def find_matches(phi: Diagram, schema: Diagram, rule_name: str = "") -> list[Mat
         key = (g_ops, tuple(sorted(subst.items())))
         if key in seen:
             continue
-        if _fits(tseq, schema, g_ops, subst):
+        if _fits(tseq, sseq, g_ops, token_map):
             seen[key] = site_of(phi, rule_name, g_ops, key[1])
     return sorted_sites(seen.values())
 
 
-def _fits(tseq: OpGraph, schema: Diagram, g_ops: tuple[int, ...], subst: dict) -> bool:
-    """Whether the ops ``g_ops`` form, modulo interchange, a block equal to
-    the instantiated schema.  A block whose window has a gap has more inputs
-    than the schema, so it never equals it."""
-    try:
-        *_, block = _block(tseq, g_ops)
-    except MatchError:
+def _fits(tseq: OpGraph, sseq: OpGraph, g_ops: tuple[int, ...], token_map: dict) -> bool:
+    """Whether the ops ``g_ops``, embedded by ``token_map``, form modulo
+    interchange a block equal to the instantiated schema: they can be made
+    consecutive, and the images of the schema's inputs lie side by side, in
+    order, in the word they enter.  This is exact because the schema is
+    connected, has no pass-through input and ``_embed`` keeps port order."""
+    blk = _order_block(tseq, g_ops)
+    if blk is None:
         return False
-    return block.to_diagram(canonical=True) == interchange_canonical_form(instantiate(schema, subst))
+    ins = [token_map[t] for t in sseq.in_tokens]
+    word = blk[3]
+    if not ins:
+        return True
+    if ins[0] not in word:
+        return False
+    i = word.index(ins[0])
+    return word[i : i + len(ins)] == ins
 
 
 def rewrite_block(

@@ -4,13 +4,16 @@
 ``find_matches`` builds a fresh ``OpSeq.of`` of the schema and of the target
 on every call, and ``rewrite_block`` builds the target's again; everything
 else is the matcher's algorithm, kept as it was so that the shared-graph
-matcher can be compared with it site for site and diagram for diagram.  It
+matcher can be compared with it site for site and diagram for diagram.
+``search_block`` is the order model: a breadth-first search over every
+order that adjacent swaps reach, which ``_block`` can use in place of the
+bubbling to cut a block out independently of the matcher's ordering.  It
 imports from ``proofdiag.matching`` only the unification and instantiation
 helpers and the site type, which the graph does not touch.
 """
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional
 
 from proofdiag.diagram import (
     Diagram,
@@ -122,17 +125,53 @@ def _bubble_block(ops: list[Op], flags: list[bool]) -> Optional[tuple[list[Op], 
             return None
 
 
-def _block(tseq: OpSeq, g_ops, extend=None) -> tuple[list[Op], int, int, int, Diagram]:
+def _key(op: Op) -> tuple:
+    """What names an op in every firing order: its tokens."""
+    return op.in_tokens, op.out_tokens
+
+
+def interchange_orders(ops: list[Op]) -> Iterator[tuple[Op, ...]]:
+    """Every firing order that ``swap_adjacent`` reaches from ``ops``,
+    breadth first: the whole interchange class, one order at a time."""
+    start = tuple(ops)
+    seen, frontier = {start}, [start]
+    while frontier:
+        yield from frontier
+        nxt = []
+        for order in frontier:
+            for i in range(len(order) - 1):
+                sw = swap_adjacent(order, i)
+                if sw is not None and (new := order[:i] + sw + order[i + 2 :]) not in seen:
+                    seen.add(new)
+                    nxt.append(new)
+        frontier = nxt
+
+
+def search_block(ops: list[Op], flags: list[bool]) -> Optional[tuple[list[Op], int, int]]:
+    """The order model: ``_bubble_block``'s answer, decided by searching the
+    interchange class breadth first for an order in which the flagged ops
+    are consecutive."""
+    members = {_key(op) for op, f in zip(ops, flags) if f}
+    for order in interchange_orders(ops):
+        ix = [i for i, op in enumerate(order) if _key(op) in members]
+        if ix[-1] - ix[0] == len(ix) - 1:
+            return list(order), ix[0], ix[-1]
+    return None
+
+
+def _block(
+    tseq: OpSeq, g_ops, extend=None, order=_bubble_block
+) -> tuple[list[Op], int, int, int, Diagram]:
     """Cut the ops ``g_ops`` out of ``tseq`` as one block.
 
-    The ops are bubbled together by interchange; the block's window runs
+    ``order`` makes the ops consecutive (bubbling, or ``search_block``); the block's window runs
     from the leftmost to the rightmost wire they consume, widened by
     ``extend(labels, lo, hi) -> (lo, hi)`` on the block-entry word.  Returns
     the reordered ops, the block's first and last index in them, the
     window's first column and the block as a diagram over the window.
     """
     members = set(g_ops)
-    blk = _bubble_block(tseq.ops, [i in members for i in range(len(tseq.ops))])
+    blk = order(tseq.ops, [i in members for i in range(len(tseq.ops))])
     if blk is None:
         raise MatchError("ops cannot be made consecutive by interchange")
     ops, lo, hi = blk

@@ -3,13 +3,14 @@ import random
 
 import pytest
 
-from proofdiag.formula import atom, negate
+from proofdiag.formula import BOT, atom, negate
 from proofdiag.diagram import (
     AxGate,
     BigGate,
     BotGate,
     CutGate,
     OneGate,
+    OpSeq,
     ParGate,
     TwistGate,
     build,
@@ -22,11 +23,12 @@ from proofdiag.diagram import (
     L,
     R,
 )
+from proofdiag.matching import op_graph
 from proofdiag.perm import Permutation
 from proofdiag.sequent import ax, exchange, one, sim_neighbors, tensor
 from proofdiag.translate import represent
 from proofdiag.polygraph import normalize, polygraph
-from proofdiag.bigtwist import NoCrossingSplit, crossing_splits_of
+from proofdiag.bigtwist import NoCrossingSplit, apply_untangle, crossing_splits_of, find_untangle
 from proofdiag.oracle import NotIrreducible, detect_crossing_splits, untangle
 
 a, b = atom("a"), atom("b")
@@ -115,6 +117,22 @@ def test_bgate_elimination_swaps_closed_branches():
     assert nf == canon(parallel(psi, phi))
     # every untangle step moved one gate below the B-gate
     assert any(r.startswith(("untangle", "big-collapse")) for r, _ in trace.steps)
+
+
+def test_untangle_skips_a_gate_whose_outputs_are_not_side_by_side():
+    # a bot fired between the twist's outputs enters the sheaf between them,
+    # so the twist and the B-gate cannot be cut out as one block
+    c = atom("c")
+    seq = OpSeq((L, a, b, R, L, c, R))
+    seq.fire_at(TwistGate(a, b), 1)
+    seq.fire_at(BotGate(), 2)
+    seq.fire_at(BigGate((b, BOT, a), (c,)), 0)
+    phi = seq.to_diagram(canonical=True)
+    sites = find_untangle(phi, "left")
+    ops = op_graph(phi).ops
+    assert [[ops[i].gate.family for i in s.g_ops] for s in sites] == [["bot", "big"]]
+    for site in sites:
+        apply_untangle(phi, site)
 
 
 def test_bgate_reduction_keeps_open_bgate():

@@ -43,6 +43,7 @@ from proofdiag.matching import (
 )
 from proofdiag.polygraph import normalize, polygraph
 from proofdiag.translate import represent
+import match_model as model
 from conftest import random_with_cut
 
 a, b, c = atom("a"), atom("b"), atom("c")
@@ -533,21 +534,15 @@ def test_matching_rejects_a_non_canonical_diagram():
 
 
 def _brute_force_sites(phi, schema):
-    """Independent enumerator: cut every gate subset out as one block and try
-    every substitution on it."""
-    blocks = []
-
-    def keep(local):
-        blocks.append(local)
-        return local
-
+    """Independent enumerator: cut every gate subset that the order model can
+    make consecutive out as one block, and try every substitution on it."""
     hits = set()
     for combo in itertools.combinations(range(gate_count(phi)), gate_count(schema)):
         try:
-            rewrite_block(phi, combo, keep)
+            *_, local = model._block(OpSeq.of(phi), combo, order=model.search_block)
         except MatchError:
             continue
-        for subst in _all_substs(schema, blocks[-1]):
+        if next(_all_substs(schema, local), None) is not None:
             hits.add(combo)
     return hits
 

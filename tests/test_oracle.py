@@ -58,15 +58,6 @@ def test_eliminate_axiom_cut_matches_plain_normalization():
     assert nf == nf0
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=MatchError,
-    reason="after cut-ax-left, big-intro flips an axiom and asks rewrite_block for "
-    "ops 4, 5, 6, 8 and 10 of the flipped diagram's 11.  They form a convex set, "
-    "and adjacent swaps reach the order 0-6, 8, 10, 7, 9, but _bubble_block moves "
-    "one unmatched op at a time: op 7, a tensor on op 6's output, cannot pass op 6 "
-    "going up, nor op 9, a par on op 7's output, going down",
-)
 def test_eliminate_cuts_bubbles_a_convex_intro_block():
     d = parse_derivation(
         "(cut (par 2 (tensor (ax a) (tensor (ex (3,1,2) (tensor (ax a^) (ax a))) (ax a^)))) (ax a^))"
@@ -92,18 +83,53 @@ def test_eliminate_cuts_clears_a_bgate_over_two_closed_branches():
     assert gate_count(nf, {"cut", "big"}) == 0
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=DiagramError,
-    reason="Sem takes no step and one cut is left.  _embed finds cut-tensor-par at "
-    "width 1 on ops 4, 6, 11 and 12, and adjacent swaps reach the order "
-    "0,1,2,3,5,7,9,4,6,11,12,8,10 where those ops are consecutive, but "
-    "_bubble_block returns None, so _fits reports no site",
-)
 def test_eliminate_cuts_finds_a_unit_free_principal_cut():
     d = parse_derivation(
         "(cut (par 1 (ex (2,3,1) (tensor (ax a^) (ax a))))"
         " (par 1 (ex (2,3,1) (tensor (ax a^) (ax a)))))"
+    )
+    nf, _ = eliminate_cuts(represent(d))
+    assert gate_count(nf, {"cut", "big"}) == 0
+
+
+def test_eliminate_cuts_orders_a_block_that_trial_bubbling_missed():
+    # a cutelim item (seed 101) on which moving one stray op at a time, up or
+    # else down, found no order for a feasible block and raised MatchError
+    d = parse_derivation(
+        "(cut (par 5 (tensor (ax a^) (ex (3,5,1,2,4,6) (tensor (ax a) (par 4 (bot (tensor"
+        " (ex (2,4,1,3) (tensor (ex (3,2,1) (tensor (ax a) (ex (2,1) (par 1 (ex (1,3,2)"
+        " (bot (ex (2,1) (ax a)))))))) (ax a))) (ax a^)))))))) (ax 1))"
+    )
+    phi = represent(d)
+    nf, _ = eliminate_cuts(phi)
+    assert gate_count(nf, {"cut", "big"}) == 0
+    d2 = sequentialize(nf)
+    assert not find_cut_paths(d2) and d2.conclusion == boundary_sequent(phi)
+
+
+UNTANGLE_STALL = (
+    "the missing B-gate rule, as above: untangle offers no site once a gate's outputs "
+    "enter the sheaf with another wire between them, so Sem stalls with a B-gate left"
+)
+
+
+@pytest.mark.xfail(strict=True, raises=DiagramError, reason=UNTANGLE_STALL)
+def test_eliminate_cuts_untangles_around_a_bot_in_a_unit_sheaf():
+    d = parse_derivation(
+        "(cut (tensor (ax a) (tensor (ax b) (ex (4,5,2,3,1,6) (tensor (one) (bot (tensor (bot"
+        " (bot (par 1 (par 2 (tensor (bot (bot (bot (par 1 (ex (2,1) (bot (one))))))) (one))))))"
+        " (ax a^))))))) (ax 1))"
+    )
+    nf, _ = eliminate_cuts(represent(d))
+    assert gate_count(nf, {"cut", "big"}) == 0
+
+
+@pytest.mark.xfail(strict=True, raises=DiagramError, reason=UNTANGLE_STALL)
+def test_eliminate_cuts_untangles_around_a_bot_in_an_atom_sheaf():
+    d = parse_derivation(
+        "(cut (tensor (tensor (ax a) (tensor (ex (4,2,1,3) (bot (tensor (ax a^) (bot (par 1 (bot"
+        " (par 1 (par 1 (ex (3,1,2) (tensor (ex (2,1) (par 2 (ex (1,3,2) (tensor (ax a^) (bot"
+        " (par 1 (ax b))))))) (ax a))))))))))) (ax b))) (ax b)) (ax b))"
     )
     nf, _ = eliminate_cuts(represent(d))
     assert gate_count(nf, {"cut", "big"}) == 0
