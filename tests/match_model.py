@@ -164,8 +164,9 @@ def _block(
 ) -> tuple[list[Op], int, int, int, Diagram]:
     """Cut the ops ``g_ops`` out of ``tseq`` as one block.
 
-    ``order`` makes the ops consecutive (bubbling, or ``search_block``); the block's window runs
-    from the leftmost to the rightmost wire they consume, widened by
+    ``order`` makes the ops consecutive (the bubbling, or ``search_block``);
+    the block's window runs from the leftmost to the rightmost wire they
+    consume, widened by
     ``extend(labels, lo, hi) -> (lo, hi)`` on the block-entry word.  Returns
     the reordered ops, the block's first and last index in them, the
     window's first column and the block as a diagram over the window.
