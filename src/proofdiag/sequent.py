@@ -29,23 +29,13 @@ rigid formats require.  Each tag's ``origin(lens)`` gives, for the premises'
 lengths, the ``(premise, position)`` each conclusion formula is copied from,
 or None for a principal one; the positions it does not copy are the active
 ones.  ``reindex(f)`` moves the position parameter (only par has one).  At a
-node, in the order the derivation digest pins: an exchange has, for each
-premise of the rule above, the part that reorders that premise's formulas
-pushed into it, then come the hand-written cases; any other rule first has
-each premise's exchange pulled below it, left to right, leaving above only
-what puts the active formulas in place, then is swapped with a unary premise
-rule, right to left, and a binary one, left to right, when its active
-formulas there all come from one premise of that rule; then come the
-hand-written cases (axiom orientation, stacked bots and the branch reorder
-of shape (c)).
-
-The relation is symmetric: pushes and pulls are each other's inverses, and
-a swap, an axiom orientation or a stacked-bot swap is its own.  A push, a
-pull or a branch reorder whose result fuses with, or cancels, another
-exchange is a collapse: every split of the fused exchange gives the same
-result, so no single move leads back, and the move is left out
-(``_undone``).  The price is that a rule with an exchange on each side that
-the other could absorb has no exchange move there.
+node, in the order the derivation digest pins: an exchange is pushed into
+the one premise of the rule above whose formulas it moves, then come the
+hand-written cases; any other rule first has each premise's exchange pulled
+below it, left to right, then is swapped with a unary premise rule, right to
+left, and a binary one, left to right, when its active formulas there all
+come from one premise of that rule; then come the hand-written cases (axiom
+orientation, stacked bots and the branch reorder of shape (c)).
 """
 from __future__ import annotations
 
@@ -397,77 +387,44 @@ def _sources(name, rule: RuleTag, lens: tuple, j: int, sub) -> list:
     return out
 
 
-def _pull(d: Derivation, j: int) -> Optional[Derivation]:
-    """The exchange over premise j moved below the root rule.  Above it stays
-    only the exchange that puts the root's active formulas where the rule
-    takes them, in order, and keeps the others in order; a par's operands
-    gather at the first of them.  None when premise j is no exchange."""
+def _pull(d: Derivation, j: int) -> Iterator[Derivation]:
+    """The exchange over premise j moved below the root rule; above it stays
+    only the exchange that puts the root's active formulas in order."""
     r, ps = d.rule, d.premises
-    if not isinstance(ps[j].rule, ExchangeR):
-        return None
     (y,), back = ps[j].premises, ps[j].rule.perm.inverse()
     lens = _lens(ps)
     src = [back(a) for a in _actives(r.origin(lens), j, lens[j])]
-    r2 = r.reindex(lambda _: min(src))  # only par has a position
-    tgt = _actives(r2.origin(lens), j, lens[j])
-    rest = iter([k for k in range(1, lens[j] + 1) if k not in tgt])
-    images = [tgt[src.index(a)] if a in src else next(rest) for a in range(1, lens[j] + 1)]
-    place = Permutation(tuple(images))
-    node = r2.build(ps[:j] + (exchange(y, place),) + ps[j + 1 :])
+    images = list(range(1, lens[j] + 1))
+    for a, b in zip(src, sorted(src)):
+        images[a - 1] = b
+    sort = Permutation(tuple(images))
+    r2 = r.reindex(lambda a: sort(back(a)))
+    if _actives(r2.origin(lens), j, lens[j]) != sorted(src):
+        return
+    node = r2.build(ps[:j] + (exchange(y, sort),) + ps[j + 1 :])
     old = _sources(0, r, lens, j, _sources(1, ps[j].rule, lens[j : j + 1], -1, ()))
     at = {label: c for c, label in enumerate(old, 1)}
-    new = _sources(0, r2, lens, j, _sources(1, ExchangeR(place), lens[j : j + 1], -1, ()))
-    return exchange(node, Permutation(tuple(at[label] for label in new)))
+    new = _sources(0, r2, lens, j, _sources(1, ExchangeR(sort), lens[j : j + 1], -1, ()))
+    yield exchange(node, Permutation(tuple(at[label] for label in new)))
 
 
-def _push(d: Derivation, k: int) -> Optional[Derivation]:
-    """The part of the root exchange that reorders premise k's formulas (and
-    a par's principal) moved into that premise; below stays the rest, which
-    keeps those formulas in order.  None when that part is the identity or
-    the root is no exchange."""
-    if not isinstance(d.rule, ExchangeR):
-        return None
+def _push(d: Derivation, k: int) -> Iterator[Derivation]:
+    """The root exchange moved into premise k of the rule above it, when
+    that premise's formulas, and a par's principal, are all that it moves."""
     (x,), s = d.premises, d.rule.perm
     lens = _lens(x.premises)
-    o = x.rule.origin(lens)
-    mine = [i for i, c in enumerate(o, 1) if (c[0] == k if c else isinstance(x.rule, ParR))]
-    images = list(range(1, len(s) + 1))
-    for a, b in zip(sorted(mine, key=s), mine):
-        images[a - 1] = b
-    part = Permutation(tuple(images))
-    if part.is_identity():
-        return None
-    r2 = x.rule.reindex(part)
-    old = _sources(0, ExchangeR(part), (len(s),), 0, _sources(1, x.rule, lens, -1, ()))
-    before = _actives(o, k, lens[k])
+    r2 = x.rule.reindex(s)
+    old = _sources(0, d.rule, (len(s),), 0, _sources(1, x.rule, lens, -1, ()))
+    before = _actives(x.rule.origin(lens), k, lens[k])
     after = _actives(r2.origin(lens), k, lens[k])
     images = dict(zip(before, after))
     for a, b in zip(old, _sources(1, r2, lens, -1, ())):
         if a != b:
+            if a[1:2] != (k,) or b[1:2] != (k,):
+                return
             images[a[2]] = b[2]
     t = Permutation(tuple(images.get(i, i) for i in range(1, lens[k] + 1)))
-    node = r2.build(x.premises[:k] + (exchange(x.premises[k], t),) + x.premises[k + 1 :])
-    return exchange(node, s.compose(part.inverse()))
-
-
-def _beneath(move, d: Derivation, *args) -> Optional[Derivation]:
-    """move applied to d or, under a root exchange, to the rule under it and
-    fused with it."""
-    if not isinstance(d.rule, ExchangeR):
-        return move(d, *args)
-    n = move(d.premises[0], *args)
-    return None if n is None else d.rule.build((n,))
-
-
-def _undone(d: Derivation, n: Optional[Derivation], below: Optional[ExchangeR], inverse) -> bool:
-    """Whether inverse undoes the move from d to n: applied to n where it
-    sits (fused with the exchange below), it gives back d as it sat.  A move
-    whose result fuses with, or cancels, another exchange loses which split
-    it came from, and fails this; so every move offered has its inverse."""
-    def at(x):
-        return below.build((x,)) if below else x
-
-    return n is not None and inverse(at(n)) == at(d)
+    yield r2.build(x.premises[:k] + (exchange(x.premises[k], t),) + x.premises[k + 1 :])
 
 
 def _swap(d: Derivation, j: int) -> Iterator[Derivation]:
@@ -477,6 +434,11 @@ def _swap(d: Derivation, j: int) -> Iterator[Derivation]:
     r, ps = d.rule, d.premises
     s, qs = ps[j].rule, ps[j].premises
     lens, qlens = _lens(ps), _lens(qs)
+    # the hand-written cases left this out, though the inverse move exists:
+    # a par in a tensor's or cut's left premise, its principal just before
+    # that premise's active formula
+    if r.arity == 2 and j == 0 and isinstance(s, ParR) and s.pos == lens[0] - 1:
+        return
     o = s.origin(qlens)
     act = _actives(r.origin(lens), j, lens[j])
     for k in range(s.arity):
@@ -496,18 +458,14 @@ def _swap(d: Derivation, j: int) -> Iterator[Derivation]:
                 yield node
 
 
-def _local_neighbors(d: Derivation, below: Optional[ExchangeR]) -> Iterator[Derivation]:
-    """Root-level moves; sim_neighbors maps these over all subtrees.  below
-    is the exchange d is the premise of, if any, which a pulled exchange
-    fuses with."""
+def _local_neighbors(d: Derivation) -> Iterator[Derivation]:
+    """Root-level moves; sim_neighbors maps these over all subtrees."""
     r, ps = d.rule, d.premises
     if isinstance(r, ExchangeR):
         (x,) = ps
         # an exchange over an exchange (the constructors fuse the two) is no move
         for k in range(0 if isinstance(x.rule, ExchangeR) else x.rule.arity):
-            n = _push(d, k)
-            if _undone(d, n, below, lambda m: _beneath(_pull, m, k)):
-                yield n
+            yield from _push(d, k)
         n = len(r.perm)
         # inverse of the stacked-bot swap
         if isinstance(x.rule, BotR) and isinstance(x.premises[0].rule, BotR):
@@ -518,9 +476,8 @@ def _local_neighbors(d: Derivation, below: Optional[ExchangeR]) -> Iterator[Deri
         return
     pulls = [isinstance(p.rule, ExchangeR) for p in ps]
     for j in range(len(ps)):
-        n = _pull(d, j)
-        if _undone(d, n, below, lambda m: _push(m, j)):
-            yield n
+        if pulls[j]:
+            yield from _pull(d, j)
     for j in reversed(range(len(ps))):
         if ps[j].rule.arity == 1 and not pulls[j]:
             yield from _swap(d, j)
@@ -535,15 +492,8 @@ def _local_neighbors(d: Derivation, below: Optional[ExchangeR]) -> Iterator[Deri
         # swapping two stacked bottom rules exchanges the two occurrences
         n = len(d.conclusion)
         yield exchange(d, Permutation.transposition(n, n - 1))
-    n = _reorder(d)
-    if _undone(d, n, below, lambda m: _beneath(_reorder, m)):
-        yield n
-
-
-def _reorder(d: Derivation) -> Optional[Derivation]:
-    """Shape (c): a branch reorder through an exchange that fetched the outer
-    active from the inner left region."""
-    r, ps = d.rule, d.premises
+    # shape (c): branch reorder through an exchange that fetched the outer
+    # active from the inner left region
     if r.arity == 2 and isinstance(ps[0].rule, ExchangeR) and ps[0].premises[0].rule.arity == 2:
         (x, y), (q,) = ps, ps[0].premises
         src = x.rule.perm.inverse()(len(x.conclusion))
@@ -557,8 +507,7 @@ def _reorder(d: Derivation) -> Optional[Derivation]:
             node = q.rule.build((exchange(inner, Permutation.move(k, m - 1, k)), r1))
             fix = _match_perm(node.conclusion, d.conclusion)
             if fix is not None:
-                return exchange(node, fix)
-    return None
+                yield exchange(node, fix)
 
 
 def _match_perm(src: Sequent, dst: Sequent) -> Optional[Permutation]:
@@ -584,14 +533,8 @@ def _match_perm(src: Sequent, dst: Sequent) -> Optional[Permutation]:
 def sim_neighbors(d: Derivation) -> list[Derivation]:
     """All derivations one standard-equivalence permutation away."""
     out = {}
-    todo = [((), d, None)]  # subderivations' preorder, with the exchange below
-    while todo:
-        path, node, below = todo.pop()
-        i, r = len(node.premises), node.rule
-        while i:
-            i -= 1
-            todo.append((path + (i,), node.premises[i], r if isinstance(r, ExchangeR) else None))
-        for cand in _local_neighbors(node, below):
+    for path, node in subderivations(d):
+        for cand in _local_neighbors(node):
             try:
                 nd = _rebuild(replace_subderivation(d, path, cand))
             except InvalidRule:

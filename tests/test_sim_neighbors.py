@@ -1,18 +1,15 @@
 """``sim_neighbors`` against its differential model.
 
 ``sim_model.model_sim_neighbors`` is the hand-written case-per-pair-of-rules
-generator.  ``sequent.sim_neighbors`` offers a move only when the inverse
-move leads back, so on every input below whose exchanges are fused each of
-its neighbours must have the input among its own neighbours.  Against the model it may differ in two
-ways only: it adds moves (the par gap the model leaves out, pulls that bring
-the active formulas into place, pushes that leave part of the exchange
-below), and it leaves out the model's moves whose result fuses with, or
-cancels, another exchange, which the model cannot undo either.  The moves
-both return come in the model's order: the derivation digest and the oracle
+generator.  On every input below ``sequent.sim_neighbors`` must return the
+model's list, order included: the derivation digest and the oracle
 workload's seeded pairs depend on the order.  The model raises
 ``InvalidRule`` on a cut whose right premise is an exchange that fixes the
 cut formula; there the neighbours must keep the conclusion and include the
-pull of that exchange, unless an exchange below the cut absorbs the pull.
+pull of that exchange, which must have the input among its own neighbours
+unless an exchange below the cut absorbs the pull.  Other neighbours need
+not: the model is not symmetric either (see the gap kept in
+``sequent._swap``).
 """
 import random
 
@@ -59,32 +56,20 @@ def _cut_right_pulls(d):
             yield pulled, bool(path) and isinstance(nodes[path[:-1]].rule, ExchangeR)
 
 
-def _model_or_none(d):
-    try:
-        return model_sim_neighbors(d)
-    except InvalidRule:
-        return None
-
-
 def _agree(d):
     got = sim_neighbors(d)
-    if _rebuild(d) == d:  # neighbours fuse their exchanges, so only then is d one
-        for n in got:
-            assert d in sim_neighbors(n), (derivation_str(d), derivation_str(n))
-    want = _model_or_none(d)
-    if want is None:
+    try:
+        want = model_sim_neighbors(d)
+    except InvalidRule:
         pulls = list(_cut_right_pulls(d))
         assert pulls, derivation_str(d)
         assert all(n.conclusion == d.conclusion for n in got)
         for n, absorbed in pulls:
-            assert absorbed or n in got, derivation_str(d)
+            assert n in got, derivation_str(d)
+            assert absorbed or d in sim_neighbors(n), (derivation_str(d), derivation_str(n))
         return "crash"
-    kept, offered = set(got), set(want)
-    both = [derivation_str(n) for n in got if n in offered]
-    assert both == [derivation_str(n) for n in want if n in kept]
-    for n in want:
-        if n not in kept:
-            assert d not in (_model_or_none(n) or ()), (derivation_str(d), derivation_str(n))
+    assert [derivation_str(n) for n in got] == [derivation_str(n) for n in want]
+    assert got == want
     return "agree"
 
 
@@ -170,32 +155,22 @@ def test_sim_neighbors_on_exchanges_over_inner_cut_premises():
     assert tally["crash"] >= 100 and tally["agree"] >= 20
 
 
-def test_sim_neighbors_lead_back_across_the_par_gap():
-    # a par whose principal ends a tensor's left premise, just before its
-    # active formula: the model swaps it below the tensor but not back
-    d = parse_derivation("(par 1 (tensor (bot (bot (one))) (ax b)))")
-    n = parse_derivation("(tensor (par 1 (bot (bot (one)))) (ax b))")
-    assert n in sim_neighbors(d)
-    assert d in sim_neighbors(n)
-
-
-def test_a_pull_that_cancels_an_exchange_is_no_move():
-    # the model pulls (2,1) below the outer bot, where it cancels (2,1,3); no
-    # move splits the identity back into the two, so the pull is left out
-    d = parse_derivation("(tensor (ax a) (ex (2,1,3) (bot (ex (2,1) (bot (one))))))")
-    n = parse_derivation("(tensor (ax a) (bot (bot (one))))")
-    assert n in model_sim_neighbors(d)
-    assert d not in model_sim_neighbors(n)
-    assert n not in sim_neighbors(d)
-    assert all(d in sim_neighbors(m) for m in sim_neighbors(d))
-
-
-def test_a_pull_brings_the_active_formula_into_place():
-    # the exchange over the tensor's right premise moves its active formula;
-    # the model cannot pull it, and pushes the round trip's exchange back into
-    # it with no way back
-    d = parse_derivation("(tensor (ax a^) (ex (3,1,2) (tensor (ax b) (ax b))))")
-    n = parse_derivation("(ex (1,2,4,3) (tensor (ax a^) (ex (2,1,3) (tensor (ax b) (ax b)))))")
-    assert n not in model_sim_neighbors(d) and d in model_sim_neighbors(n)
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="no move leads back: a pushed exchange fuses with another, or the par "
+    "gap kept in sequent._swap drops the move; ROADMAP item 7's inverse moves mend both",
+)
+@pytest.mark.parametrize(
+    "d, n",
+    [
+        # the exchanges pushed below the bot cancel each other
+        ("(tensor (ax a) (ex (2,1,3) (bot (ex (2,1) (bot (one))))))", "(tensor (ax a) (bot (bot (one))))"),
+        # the par gap: a par whose principal ends a tensor's left premise
+        ("(par 1 (tensor (bot (bot (one))) (ax b)))", "(tensor (par 1 (bot (bot (one)))) (ax b))"),
+    ],
+)
+def test_sim_neighbors_lead_back_on_known_asymmetric_pairs(d, n):
+    d, n = parse_derivation(d), parse_derivation(n)
     assert n in sim_neighbors(d)
     assert d in sim_neighbors(n)

@@ -6,8 +6,7 @@ are compared with values recorded before the rule engine was refactored;
 a change to any of them is a change of behaviour.  So are the derivation
 layer's results (printing, parsing, ``sim_neighbors``, ``cut_step``,
 ``represent`` and ``sequentialize``), recorded before validity moved into
-``Derivation``; the ``sim_neighbors`` lists were recorded again when every
-move gained its inverse, with the rest of the digest's input unchanged.  So are the paths of the procedural rules (each case of the
+``Derivation``.  So are the paths of the procedural rules (each case of the
 B-gate introduction, of the collapse and of the untangle relations) and the
 proof-structure reading, on diagrams that reach every one of those paths,
 recorded before the procedural rewrites were built in one ``OpSeq``.  Site
@@ -51,7 +50,7 @@ SYSTEMS = (("Sem", "controlled"), ("MLL_big", "controlled"), ("MLLu_Cut", "uncon
 
 TRACE_DIGEST = "02c09e1d1741ea005e72cf35b6106a615814b1c1235d655a74623612b443dd59"
 
-DERIVATION_DIGEST = "c59e8cf198825ef0b30f68d6a05ae80aa680b08c6fbeb957e94278c195f2a790"
+DERIVATION_DIGEST = "79d81561fc0d03f7d179223e561ca8daf0919da8de442418d337f5b2f081dca1"
 
 PROCEDURAL_DIGEST = "f2ff410485e62c5a186c2e595a78a7459265ec0524ba6572bfd26421d293fda1"
 
