@@ -381,13 +381,11 @@ def _fits(tseq: OpGraph, sseq: OpGraph, g_ops: tuple[int, ...], token_map: dict)
     blk = _order_block(tseq, g_ops)
     if blk is None:
         return False
-    ins = [token_map[t] for t in sseq.in_tokens]
-    word = blk[3]
-    if not ins:
-        return True
-    if ins[0] not in word:
+    ins, word = [token_map[t] for t in sseq.in_tokens], blk[3]
+    try:
+        i = word.index(ins[0]) if ins else 0
+    except ValueError:  # a member op makes the first input's image
         return False
-    i = word.index(ins[0])
     return word[i : i + len(ins)] == ins
 
 
