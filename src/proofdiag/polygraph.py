@@ -78,11 +78,11 @@ nA, nB = NVar("A"), NVar("B")
 # ---------------------------------------------------------------------------
 # Rule kinds
 #
-# The three schema kinds share one protocol: ``keys(phi)`` lists the keys of
-# the family members that can occur in ``phi`` and ``pair(*key)`` gives the
-# (source, target) schemas of one member.  Sites record their key as
-# ``variant``, so applying a site needs no second search.  Members are
-# built once per key (cached builders), up to a fixed word width.
+# A schema rule is one (source, target) pair or a family of them: ``keys(phi)``
+# lists the keys of the members that can occur in ``phi`` and ``pair(*key)``
+# gives the (source, target) schemas of one member.  Sites record their key
+# as ``variant``, so applying a site needs no second search.  Family members
+# are built once per key (cached builders), up to a fixed word width.
 
 WORD_MAX_WIDTH = 8
 SIGMA_MAX_WIDTH = 3
@@ -90,51 +90,50 @@ SIGMA_MAX_WIDTH = 3
 
 @dataclass(frozen=True)
 class SchemaRule:
-    """A rewriting rule given by source and target schema diagrams."""
+    """A rewriting rule given by (source, target) schema pairs; a fixed rule
+    has one pair, of key ``()``."""
 
     name: str
-    source: Diagram
-    target: Diagram
+    pair: Callable[..., tuple[Diagram, Diagram]]
 
     def keys(self, phi: Diagram) -> list[tuple]:
         return [()]
 
-    def pair(self) -> tuple[Diagram, Diagram]:
-        return self.source, self.target
-
     def find(self, phi: Diagram) -> list[MatchSite]:
-        return _find_sites(self, phi)
+        """The sites of every member, each stamped with the key of the member
+        that matched."""
+        sites = []
+        for key in self.keys(phi):
+            source, _ = self.pair(*key)
+            sites += [replace(s, variant=key) for s in find_matches(phi, source, self.name)]
+        return sorted_sites(sites)
 
     def apply(self, phi: Diagram, site: MatchSite) -> Diagram:
         return replace_at(phi, site, self.pair(*site.variant)[1])
 
 
-@dataclass(frozen=True)
-class WordRule:
-    """A rule family indexed by a word metavariable, matched by width."""
+def _fixed(name: str, source: Diagram, target: Diagram) -> SchemaRule:
+    return SchemaRule(name, lambda: (source, target))
 
-    name: str
-    builder: Callable[[int], tuple[Diagram, Diagram]]
+
+# The benchmark's tracer (perfbench/tracer.py) times ``find`` and ``apply``
+# per rule class, reading each from the class's own ``__dict__``; so the two
+# family kinds bind them again in their own bodies.
+
+
+class WordRule(SchemaRule):
+    """A rule family indexed by the width of a word metavariable."""
+
+    find, apply = SchemaRule.find, SchemaRule.apply
 
     def keys(self, phi: Diagram) -> list[tuple]:
         return [(w,) for w in range(min(WORD_MAX_WIDTH, _max_width(phi)) + 1)]
 
-    def pair(self, w: int) -> tuple[Diagram, Diagram]:
-        return self.builder(w)
 
-    def find(self, phi: Diagram) -> list[MatchSite]:
-        return _find_sites(self, phi)
+class SigmaRule(SchemaRule):
+    """A rule family indexed by a word width and a permutation of the word."""
 
-    def apply(self, phi: Diagram, site: MatchSite) -> Diagram:
-        return replace_at(phi, site, self.pair(*site.variant)[1])
-
-
-@dataclass(frozen=True)
-class SigmaRule:
-    """A rule family indexed by a word and a permutation of it."""
-
-    name: str
-    builder: Callable[[int, Permutation], tuple[Diagram, Diagram]]
+    find, apply = SchemaRule.find, SchemaRule.apply
 
     def keys(self, phi: Diagram) -> list[tuple]:
         return [
@@ -142,15 +141,6 @@ class SigmaRule:
             for w in range(min(SIGMA_MAX_WIDTH, _max_width(phi)) + 1)
             for images in itertools.permutations(range(1, w + 1))
         ]
-
-    def pair(self, w: int, sigma: Permutation) -> tuple[Diagram, Diagram]:
-        return self.builder(w, sigma)
-
-    def find(self, phi: Diagram) -> list[MatchSite]:
-        return _find_sites(self, phi)
-
-    def apply(self, phi: Diagram, site: MatchSite) -> Diagram:
-        return replace_at(phi, site, self.pair(*site.variant)[1])
 
 
 class ProceduralRule:
@@ -172,17 +162,7 @@ class ProceduralRule:
         return self._applier(phi, site)
 
 
-Rule = Union[SchemaRule, WordRule, SigmaRule, ProceduralRule]
-
-
-def _find_sites(rule: Rule, phi: Diagram) -> list[MatchSite]:
-    """The sites of every family member of a schema rule, each stamped with
-    the key of the member that matched."""
-    sites = []
-    for key in rule.keys(phi):
-        source, _ = rule.pair(*key)
-        sites += [replace(s, variant=key) for s in find_matches(phi, source, rule.name)]
-    return sorted_sites(sites)
+Rule = Union[SchemaRule, ProceduralRule]
 
 
 def _max_width(phi: Diagram) -> int:
@@ -198,7 +178,7 @@ def _max_width(phi: Diagram) -> int:
 
 def _twist_involution() -> SchemaRule:
     src = Diagram((A, B), ((TwistGate(A, B),), (TwistGate(B, A),)))
-    return SchemaRule("twist-involution", src, identity((A, B)))
+    return _fixed("twist-involution", src, identity((A, B)))
 
 
 def _yang_baxter() -> SchemaRule:
@@ -218,7 +198,7 @@ def _yang_baxter() -> SchemaRule:
             (C, TwistGate(A, B)),
         ),
     )
-    return SchemaRule("yang-baxter", src, tgt)
+    return _fixed("yang-baxter", src, tgt)
 
 
 def _slide(name: str, gate: Gate, wire, side: str, flip: bool = False) -> SchemaRule:
@@ -232,7 +212,7 @@ def _slide(name: str, gate: Gate, wire, side: str, flip: bool = False) -> Schema
     else:
         src = compose_seq(compose_par(w, g), ladder_left_word((wire,) + gate.outputs))
         tgt = compose_seq(ladder_left_word((wire,) + gate.inputs), compose_par(g, w))
-    return SchemaRule(name, tgt, src) if flip else SchemaRule(name, src, tgt)
+    return _fixed(name, tgt, src) if flip else _fixed(name, src, tgt)
 
 
 def _slides(kind: str, right: tuple, left: tuple, flip: bool = False) -> list[SchemaRule]:
@@ -251,12 +231,12 @@ def _ax_involution(controlled: bool) -> list[SchemaRule]:
             single(AxGate(A, True)),
             parallel(identity((L,)), single(TwistGate(A, nA)), identity((R,))),
         )
-        return [SchemaRule("ax-involution", src, single(AxGate(nA, True)))]
+        return [_fixed("ax-involution", src, single(AxGate(nA, True)))]
     src = compose_seq(single(AxGate(A, False)), single(TwistGate(A, nA)))
     cut_src = compose_seq(single(TwistGate(nA, A)), single(CutGate(A, False)))
     return [
-        SchemaRule("ax-involution", src, single(AxGate(nA, False))),
-        SchemaRule("cut-involution", cut_src, single(CutGate(nA, False))),
+        _fixed("ax-involution", src, single(AxGate(nA, False))),
+        _fixed("cut-involution", cut_src, single(CutGate(nA, False))),
     ]
 
 
@@ -295,7 +275,7 @@ def _ax_cut_snake() -> SchemaRule:
     p2 = parallel(identity((nA,)), single(TwistGate(A, A)))
     p3 = compose_par(single(CutGate(nA, False)), identity((A,)))
     src = compose_seq(compose_seq(p1, p2), p3)
-    return SchemaRule("ax-cut-snake", src, identity((A,)))
+    return _fixed("ax-cut-snake", src, identity((A,)))
 
 
 @functools.cache
@@ -317,7 +297,7 @@ def _ax_cut_snake_sigma(w: int, sigma: Permutation) -> tuple[Diagram, Diagram]:
 def _cut_pair(name: str, left: Gate, right: Gate, target: Diagram) -> SchemaRule:
     """A principal cut of two uncontrolled gates, ``left`` against ``right``."""
     cut = single(CutGate(left.outputs[0], False))
-    return SchemaRule(name, compose_seq(compose_par(single(left), single(right)), cut), target)
+    return _fixed(name, compose_seq(compose_par(single(left), single(right)), cut), target)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +309,7 @@ def _cut_ax_left() -> SchemaRule:
         compose_par(single(AxGate(A, True)), identity((L, A))),
         parallel(identity((L, A)), single(CutGate(nA, True))),
     )
-    return SchemaRule("cut-ax-left", src, identity((L, A)))
+    return _fixed("cut-ax-left", src, identity((L, A)))
 
 
 def _cut_ax_right() -> SchemaRule:
@@ -337,7 +317,7 @@ def _cut_ax_right() -> SchemaRule:
         parallel(identity((A, R)), single(AxGate(nA, True))),
         parallel(single(CutGate(A, True)), identity((A, R))),
     )
-    return SchemaRule("cut-ax-right", src, identity((A, R)))
+    return _fixed("cut-ax-right", src, identity((A, R)))
 
 
 @functools.cache
@@ -389,7 +369,7 @@ def _cut_bot_one() -> SchemaRule:
         parallel(single(BotGate()), identity((R,)), single(OneGate(True))),
         parallel(single(CutGate(BOT, True)), identity((R,))),
     )
-    return SchemaRule("cut-bot-one", src, identity((R,)))
+    return _fixed("cut-bot-one", src, identity((R,)))
 
 
 def _cut_one_bot() -> SchemaRule:
@@ -397,12 +377,12 @@ def _cut_one_bot() -> SchemaRule:
         parallel(single(OneGate(True)), identity((L,)), single(BotGate())),
         parallel(identity((L,)), single(CutGate(ONE, True))),
     )
-    return SchemaRule("cut-one-bot", src, identity((L,)))
+    return _fixed("cut-one-bot", src, identity((L,)))
 
 
 def _big_annihilate() -> SchemaRule:
     # a big twist over two emptied sheafs is the identity on labels
-    return SchemaRule("big-annihilate", single(BigGate((), ())), identity((L, R, L, R)))
+    return _fixed("big-annihilate", single(BigGate((), ())), identity((L, R, L, R)))
 
 
 # ---------------------------------------------------------------------------

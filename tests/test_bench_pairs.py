@@ -46,7 +46,7 @@ def test_quartiles():
 def test_summarize():
     entry = bench_pairs.summarize(_runs([100, 110, 90], [130, 100, 120]), METRICS)
     assert entry["pairs"] == 3 and entry["seeds"] == [600, 601, 602]
-    assert entry["digests_equal"] and entry["failed"] == [[0, 0]] * 3
+    assert entry["digests_equal"] == [True] * 3 and entry["failed"] == [[0, 0]] * 3
     items = entry["metrics"]["items_per_s"]
     assert items["parent"] == [100, 110, 90] and items["change"] == [130, 100, 120]
     assert items["parent_q1_med_q3"] == [95, 100, 105]
@@ -58,7 +58,7 @@ def test_summarize():
     # a slower change is worse by the gap between medians, out of bound
     slow = bench_pairs.summarize(_runs([100] * 3, [70] * 3), METRICS)["metrics"]["items_per_s"]
     assert slow["worse_by"] == 0.3 and not slow["within_bound"]
-    assert not bench_pairs.summarize(_runs([1], [1], digest="e"), METRICS)["digests_equal"]
+    assert bench_pairs.summarize(_runs([1], [1], digest="e"), METRICS)["digests_equal"] == [False]
 
 
 def test_metric_verdicts():
@@ -103,24 +103,51 @@ def test_parse_claim():
         bench_pairs.parse_claim("cutelim:items", ["cutelim"], METRICS)
 
 
-@pytest.mark.parametrize("claim", ["tower:wall_s", "cutelim:no_such_metric"])
-def test_a_bad_claim_exits_2_before_any_run(tmp_path, monkeypatch, capsys, claim):
+def _fake_checkouts(monkeypatch, tmp_path):
     def checkout(rev, dest):
         dest.mkdir(parents=True)
         (dest / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
         return dest
 
+    monkeypatch.setattr(bench_pairs, "checkout", checkout)
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+
+
+def _main(tmp_path, seeds, *extra):
+    return bench_pairs.main([
+        "--parent", "A", "--change", "B", "--name", "t", "--workloads", "cutelim",
+        "--seeds", seeds, "--workdir", str(tmp_path / "w"), *extra,
+    ])
+
+
+def test_each_seed_prints_its_own_digest_equality(tmp_path, monkeypatch, capsys):
+    # only the first pair's digests differ
+    def run_once(tree, workload, seed, seconds):
+        digest = "e" if tree.name == "change" and seed == 1 else "d"
+        return _record(seed, 1.0, 100, digest=digest)
+
+    _fake_checkouts(monkeypatch, tmp_path)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    assert _main(tmp_path, "1-3") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(",")[0] for line in lines] == [
+        "cutelim seed 1: digests equal False",
+        "cutelim seed 2: digests equal True",
+        "cutelim seed 3: digests equal True",
+    ]
+    doc = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert doc["runs"]["final"]["workloads"]["cutelim"]["digests_equal"] == [False, True, True]
+
+
+@pytest.mark.parametrize("claim", ["tower:wall_s", "cutelim:no_such_metric"])
+def test_a_bad_claim_exits_2_before_any_run(tmp_path, monkeypatch, capsys, claim):
     def run_once(*args):
         raise AssertionError("a run started")
 
-    monkeypatch.setattr(bench_pairs, "checkout", checkout)
+    _fake_checkouts(monkeypatch, tmp_path)
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
-    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
     with pytest.raises(SystemExit) as e:
-        bench_pairs.main([
-            "--parent", "A", "--change", "B", "--name", "t", "--workloads", "cutelim",
-            "--seeds", "1-2", "--claim", claim, "--workdir", str(tmp_path / "w"),
-        ])
+        _main(tmp_path, "1-2", "--claim", claim)
     assert e.value.code == 2
     assert "claimed" in capsys.readouterr().err
     assert not (tmp_path / "BENCH_t.json").exists()

@@ -631,10 +631,10 @@ def test_find_matches_complete_for_slide_schemas():
 
     mllu = polygraph("MLLu_Cut")
     schemas = [
-        mllu.rule("par-slide-right").source,
-        mllu.rule("par-slide-left").source,
-        mllu.rule("bot-slide-right").source,
-        mllu.rule("ax-involution").source,
+        mllu.rule("par-slide-right").pair()[0],
+        mllu.rule("par-slide-left").pair()[0],
+        mllu.rule("bot-slide-right").pair()[0],
+        mllu.rule("ax-involution").pair()[0],
     ]
     diagrams = [
         canon(build((a, b, c), (ParGate(a, b), c), (TwistGate(Par(a, b), c),))),

@@ -54,8 +54,9 @@ def test_pinned_inequality_bot_crossing():
     r = p.rule("bot-slide-right")
     from proofdiag.matching import instantiate
 
+    src, tgt = r.pair()
     ok, msg = schema_decreases(
-        instantiate(r.source, {"A": a}), instantiate(r.target, {"A": a}), MLL_INTERPRETATION
+        instantiate(src, {"A": a}), instantiate(tgt, {"A": a}), MLL_INTERPRETATION
     )
     assert ok, msg
 
@@ -66,9 +67,8 @@ def test_yang_baxter_decreases():
     from proofdiag.matching import instantiate
 
     sub = {"A": STRAND, "B": STRAND, "C": STRAND}
-    ok, msg = schema_decreases(
-        instantiate(r.source, sub), instantiate(r.target, sub), S_INTERPRETATION
-    )
+    src, tgt = r.pair()
+    ok, msg = schema_decreases(instantiate(src, sub), instantiate(tgt, sub), S_INTERPRETATION)
     assert ok, msg
 
 
@@ -78,8 +78,7 @@ def test_every_mll_ctrl_rule_decreases_on_grid():
 
     subst = {"A": a, "B": b, "C": negate(a)}
     for rule in p.rules:
-        src = instantiate(rule.source, subst)
-        tgt = instantiate(rule.target, subst)
+        src, tgt = (instantiate(s, subst) for s in rule.pair())
         ok, msg = schema_decreases(src, tgt, MLL_INTERPRETATION)
         assert ok, (rule.name, msg)
 

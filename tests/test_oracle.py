@@ -138,17 +138,60 @@ def test_eliminate_cuts_untangles_around_a_bot_in_an_atom_sheaf():
 @pytest.mark.xfail(
     strict=True,
     raises=DiagramError,
-    reason="not diagnosed to the end: Sem takes three bot-slide-left steps and stops "
-    "with cut(1).  A tensor has merged the brackets of the one that feeds it, and its "
-    "wire crosses two twists; crossing_splits_of finds no split and no cut rule "
-    "matches, so either a rule or a crossing split is missing",
+    reason="not diagnosed to the end: Sem takes three (or, on the second input, one) "
+    "bot-slide-left steps and stops with cut(1).  A tensor has merged the brackets of "
+    "the one that feeds it, and its wire crosses two twists; crossing_splits_of finds "
+    "no split and no cut rule matches, so either a rule or a crossing split is missing",
 )
-def test_eliminate_cuts_reaches_a_unit_cut_behind_two_twists():
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(cut (par 2 (ex (4,1,3,2) (bot (tensor (bot (one)) (ax a))))) (ex (2,1) (bot (one))))",
+        "(cut (ex (3,2,1) (tensor (tensor (bot (one)) (one)) (ax b))) (ex (2,1) (bot (one))))",
+    ],
+    ids=["14-gate", "13-gate"],
+)
+def test_eliminate_cuts_reaches_a_unit_cut_behind_two_twists(text):
+    nf, _ = eliminate_cuts(represent(parse_derivation(text)))
+    assert gate_count(nf, {"cut", "big"}) == 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=DiagramError,
+    reason="ROADMAP item 1, not diagnosed to the end: Sem takes 8 steps, the last two "
+    "cut-tensor-par and cut-ax-left, and stops with cut(X), X = (((a|a^)*a^)|a).  The X^ "
+    "operand reaches the cut through twist(b, X^), whose other wire stays in the branch, "
+    "and no crossing split is left.  Every cut of unit-free MLL can be eliminated, so a "
+    "rule or the strategy is missing",
+)
+def test_eliminate_cuts_clears_a_unit_free_cut_behind_a_twist():
     d = parse_derivation(
-        "(cut (par 2 (ex (4,1,3,2) (bot (tensor (bot (one)) (ax a))))) (ex (2,1) (bot (one))))"
+        "(cut (tensor (ax b) (par 1 (tensor (par 1 (ax a)) (ax a^)))) (par 1 (ex (2,3,1)"
+        " (tensor (ax b) (ex (2,1) (par 2 (ex (3,1,2) (tensor (ex (2,1) (ax a^)) (par 1"
+        " (ex (2,3,1) (tensor (par 2 (ex (3,1,2) (tensor (ex (2,1) (ax a)) (ax a^))))"
+        " (ex (2,1) (ax a)))))))))))))"
     )
     nf, _ = eliminate_cuts(represent(d))
     assert gate_count(nf, {"cut", "big"}) == 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=DiagramError,
+    reason="ROADMAP item 14: word families are matched only up to width 8, and here "
+    "cut-tensor-par's word has 9 formulas, so Sem takes no step and nothing says why",
+)
+def test_eliminate_cuts_matches_a_word_wider_than_the_cap():
+    t = "(ax b)"
+    for _ in range(8):
+        t = f"(tensor {t} (ax c))"
+    d = parse_derivation(
+        f"(cut (ex (1,11,2,3,4,5,6,7,8,9,10) (tensor (ax a) {t}))"
+        " (par 1 (ex (1,3,2) (tensor (ax b^) (ax a^)))))"
+    )
+    _, trace = eliminate_cuts(represent(d))
+    assert [r for r, _ in trace.steps] == ["cut-tensor-par", "cut-ax-left", "cut-ax-right"]
 
 
 def test_eliminate_unit_cut():

@@ -51,17 +51,17 @@ def test_mll_ctrl_includes_ax_involution():
     p = polygraph("MLL_ctrl")
     rule = p.rule("ax-involution")
     # rewrites an axiom followed by a twist into the dual axiom
-    src_gates = sorted(g.family for g in rule.source.gate_list())
-    assert src_gates == ["ax", "twist"]
-    assert [g.family for g in rule.target.gate_list()] == ["ax"]
+    src, tgt = rule.pair()
+    assert sorted(g.family for g in src.gate_list()) == ["ax", "twist"]
+    assert [g.family for g in tgt.gate_list()] == ["ax"]
 
 
 def test_sem_includes_unit_cut_rules():
     p = polygraph("Sem")
     r = p.rule("cut-bot-one")
-    fams = sorted(g.family for g in r.source.gate_list())
-    assert fams == ["bot", "cut", "one"]
-    assert r.target.gate_list() == []
+    src, tgt = r.pair()
+    assert sorted(g.family for g in src.gate_list()) == ["bot", "cut", "one"]
+    assert tgt.gate_list() == []
     p.rule("cut-one-bot")
 
 

@@ -77,7 +77,7 @@ def test_axiom_slides_across_a_wire():
 
 def test_uncontrolled_ax_cut_snake():
     rule = MLLU.rule("ax-cut-snake")
-    src = instantiate(rule.source, {"A": a})
+    src = instantiate(rule.pair()[0], {"A": a})
     nf, trace = normalize(MLLU, canon(src))
     assert nf == identity((a,))
 
@@ -122,7 +122,7 @@ def test_uncontrolled_representation_normalizes_cut_free():
 
 def test_sigma_snake_rule_instantiates_and_fires():
     rule = MLLU.rule("ax-cut-snake-sigma")
-    src, tgt = rule.builder(2, Permutation((2, 1)))
+    src, tgt = rule.pair(2, Permutation((2, 1)))
     subst = {"A": a, "W0": b, "W1": negate(b)}
     s = instantiate(src, subst)
     t = instantiate(tgt, subst)

@@ -16,8 +16,8 @@ change's ``BENCHMARK.json``.
 workload and metric the runs of each side, their quartiles (inclusive
 method), the change's wins, ``worse_by`` (the change's median against the
 parent's, positive when worse), whether that stays within the bound, and
-the metric's ``verdict`` (``metric_verdict``);
-the digests and ``failed`` counts of every pair; and, with ``--claim``, the
+the metric's ``verdict`` (``metric_verdict``); per pair, whether its
+digests are equal and its ``failed`` counts; and, with ``--claim``, the
 verdict of the claim rule: the change wins at least nine in ten pairs and
 the medians differ by more than the parent's interquartile range.  A claim
 whose workload is not in ``--workloads``, or whose metric is not one of
@@ -97,7 +97,7 @@ def summarize(runs: list, metrics: list) -> dict:
     out = {
         "pairs": len(runs),
         "seeds": [p["meta"]["seed"] for p, _ in runs],
-        "digests_equal": all(p["meta"]["digest"] == c["meta"]["digest"] for p, c in runs),
+        "digests_equal": [p["meta"]["digest"] == c["meta"]["digest"] for p, c in runs],
         "failed": [[p["result"]["failed"], c["result"]["failed"]] for p, c in runs],
         "metrics": {},
         "checkpoint_s": {
@@ -211,7 +211,7 @@ def main(argv=None) -> int:
             if workload == claim_workload:
                 doc["claim"] = claim_verdict(entry, workload, claim_metric, higher)
             out_path.write_text(json.dumps(doc, indent=1) + "\n")
-            print(f"{workload} seed {seed}: digests equal {entry['digests_equal']}, "
+            print(f"{workload} seed {seed}: digests equal {entry['digests_equal'][-1]}, "
                   f"failed {entry['failed'][-1]}", flush=True)
     return 0
 
