@@ -295,6 +295,64 @@ def test_cut_order_diagrams_share_one_canonical_form():
     assert len({canon(phi) for phi in CUT_ORDER}) == 1
 
 
+def _appended_agrees(phi, *steps):
+    """Stack ``steps`` under ``phi`` with ``compose_seq`` and compare the
+    canonical form with that of the same layers rebuilt unflagged: equal
+    layer for layer, and the flag contract holds.  Return the form."""
+    d = phi
+    for step in steps:
+        d = compose_seq(d, step)
+    got, want = canon(d), canon(Diagram(d.input, d.layers))
+    assert (got.input, got.layers, got.output) == (want.input, want.layers, want.output), d
+    assert (got is d) == (d.layers == want.layers), d
+    assert canon(got) is got
+    return got
+
+
+def test_canonical_form_of_an_append_agrees_with_the_rebuild():
+    from test_acceptance import _successor_moves
+
+    # every successor of criterion 3's depth-3 closure
+    seen, frontier, count = {EMPTY}, [EMPTY], 0
+    for _ in range(3):
+        new = []
+        for phi in frontier:
+            word = phi.output
+            for gate, pos in _successor_moves(word):
+                rest = identity(word[pos + len(gate.inputs) :])
+                nxt = _appended_agrees(phi, parallel(identity(word[:pos]), single(gate), rest))
+                count += 1
+                if nxt not in seen:
+                    seen.add(nxt)
+                    new.append(nxt)
+        frontier = new
+    assert len(seen) - 1 == 1013 and count == 1717
+    # seeded layered walks, split into a canonical prefix and one or two steps
+    rng = random.Random(32)
+    for i in range(1000):
+        walk = _gate_walk(rng, i % 2 == 0, rng.randint(1, 12))
+        n = len(walk.layers)
+        cuts = sorted(rng.randint(0, n) for _ in range(2))
+        phi = canon(Diagram(walk.input, walk.layers[: cuts[0]]))
+        parts = [walk.layers[cuts[0] : cuts[1]], walk.layers[cuts[1] :]]
+        steps, word = [], phi.output
+        for layers in parts if i % 3 else [walk.layers[cuts[0] :]]:
+            steps.append(Diagram(word, layers))
+            word = steps[-1].output
+        _appended_agrees(phi, *steps)
+        # and one layer at a time, each append from a canonical prefix
+        phi = EMPTY
+        for layer in walk.layers:
+            phi = _appended_agrees(phi, Diagram(phi.output, (layer,)))
+    # the cut-order diagrams under a canonical prefix
+    twisted = build((b,), (AxGate(a, False), b), (a, TwistGate(na, b)), (TwistGate(a, b), na))
+    for top in (canon(single(AxGate(a, False))), canon(twisted)):
+        k = top.output.index(a)
+        for gap in CUT_ORDER:
+            step = parallel(identity(top.output[:k]), gap, identity(top.output[k + 2 :]))
+            _appended_agrees(top, step)
+
+
 # ---------------------------------------------------------------------------
 # OpSeq: splice, output, chase
 
