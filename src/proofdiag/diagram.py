@@ -338,7 +338,7 @@ class Diagram:
         object.__setattr__(self, "layers", lys)
         object.__setattr__(self, "output", tuple(output))
         object.__setattr__(self, "_hash", None)  # computed on first use
-        object.__setattr__(self, "_canonical", False)
+        object.__setattr__(self, "_canonical", 0)  # leading layers known canonical
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("Diagram is immutable")
@@ -415,7 +415,9 @@ def compose_seq(phi: Diagram, psi: Diagram) -> Diagram:
     """Stack psi below phi; boundary words must agree label-for-label."""
     if phi.output != psi.input:
         raise _mismatch(phi.output, psi.input)
-    return Diagram(phi.input, phi.layers + psi.layers, output=psi.output)
+    out = Diagram(phi.input, phi.layers + psi.layers, output=psi.output)
+    object.__setattr__(out, "_canonical", phi._canonical)
+    return out
 
 
 def compose_par(phi: Diagram, psi: Diagram) -> Diagram:
@@ -479,6 +481,8 @@ def _hoist(grid: list[list[Slot]], gate: Gate, li: int, at: int, w: int) -> int:
             grid[li][at : at + 1] = gate.outputs
         li -= 1
         at, w = spot
+        if type(grid[li]) is tuple:  # a row of a canonical prefix, shared until now
+            grid[li] = list(grid[li])
         grid[li][at : at + k] = [gate]
     return li
 
@@ -492,13 +496,19 @@ def interchange_canonical_form(phi: Diagram) -> Diagram:
     but for the cut-order gap that the module docstring names.  It is
     idempotent, boundary- and gate-multiset-preserving, and flagged: ``phi``
     itself when already in this form, else a new diagram.  The flag is a
-    bool, not a reference to the form, which would make a cycle for the
+    count, not a reference to the form, which would make a cycle for the
     collector.
+
+    The pass starts below ``phi``'s canonical prefix: its grid after k
+    layers depends on those k layers alone, and for a canonical prefix it is
+    the prefix itself.  A prefix row stays the parent's tuple until a gate
+    lands in it.
     """
-    if phi._canonical:
+    start = phi._canonical
+    if start == len(phi.layers):
         return phi
-    grid: list[list[Slot]] = []
-    for layer in phi.layers:
+    grid: list = list(phi.layers[:start])
+    for layer in phi.layers[start:]:
         grid.append(list(layer))
         si = p = 0  # slot index in the newest layer, and its input wire offset
         while si < len(grid[-1]):
@@ -508,13 +518,13 @@ def interchange_canonical_form(phi: Diagram) -> Diagram:
         # Of two gate-free layers in a row only the upper one is kept.  Gates
         # that land in it put a 0-input gate before a cut at its wire, as in
         # any layer (the cut-order gap); without it they keep their order.
-        if len(grid) > 1 and not any(isinstance(s, Gate) for s in grid[-2] + grid[-1]):
+        if len(grid) > 1 and not any(isinstance(s, Gate) for s in (*grid[-2], *grid[-1])):
             grid.pop()
     if grid and not any(isinstance(s, Gate) for s in grid[-1]):
         grid.pop()
     layers = tuple(map(tuple, grid))
     canon = phi if layers == phi.layers else Diagram(phi.input, layers, output=phi.output)
-    object.__setattr__(canon, "_canonical", True)
+    object.__setattr__(canon, "_canonical", len(layers))
     return canon
 
 
@@ -619,7 +629,7 @@ class OpSeq:
                 grid.append(word[: op.pos] + [op.gate] + word[op.pos + k :])
             word[op.pos : op.pos + k] = op.gate.outputs
         phi = Diagram(self.input_word, grid, output=word)
-        object.__setattr__(phi, "_canonical", canonical)
+        object.__setattr__(phi, "_canonical", len(grid) if canonical else 0)
         return phi
 
 

@@ -54,7 +54,7 @@ def test_fired_diagram_equals_the_recursive_definition_up_to_s6():
             for word in ((STRAND,) * n, atoms):
                 got, want = canonical_perm_diagram(s, word), model_perm_diagram(s, word)
                 assert (got.input, got.layers, got.output) == (want.input, want.layers, want.output)
-                assert got._canonical, s
+                assert got._canonical == len(got.layers), s
 
 
 def test_identity_diagram_has_no_gates():
