@@ -32,16 +32,22 @@ alike.  Closing this gap changes the depth-4 closure count that the benchmark
 pins (``Enumerate.EXPECTED[4]`` in ``perfbench/workloads.py``, 21,099 would
 become 21,091), so the fix waits for a change to that count.
 
-Canonicity is a flag on the diagram that only ``interchange_canonical_form``
-and ``OpSeq.to_diagram(canonical=True)`` set, on what they return; given a
-flagged diagram, the canonical form returns it at once.  Diagrams are
-immutable, so the flag cannot go stale.
+Canonicity is a flag on the diagram: the count of its leading layers known
+to be in canonical form, and the diagram is canonical when the count is its
+number of layers.  ``interchange_canonical_form`` and
+``OpSeq.to_diagram(canonical=True)`` set it to that on what they return, and
+``compose_seq(phi, psi)`` passes on ``phi``'s count: the layers of ``phi``
+lead the result.  Given a flagged diagram, the canonical form returns it at
+once; otherwise its pass starts below the known prefix, so appending a layer
+to a canonical diagram hoists only that layer's gates.  Diagrams are immutable,
+so the flag cannot go stale.
 
 ``Diagram(input, layers)`` checks every layer's boundary.  Only the builders
 here whose result is valid by construction pass ``output=`` to skip that
 walk: ``compose_seq`` (which still compares the two boundary words),
 ``compose_par``, ``interchange_canonical_form`` and ``OpSeq.to_diagram``
-(whose ``fire_at`` checked every label).
+(whose ``fire_at`` checked every label, or whose ``refire`` fired an op of a
+graph so checked).
 """
 from __future__ import annotations
 
@@ -597,24 +603,69 @@ class OpSeq:
 
     def fire_at(self, gate: Gate, pos: int) -> tuple:
         """Fire a gate whose inputs sit at [pos, pos+k) of the live word."""
-        k = len(slot_inputs(gate))
-        if pos < 0 or pos + k > len(self.word):
+        ins = gate.inputs
+        if pos < 0 or pos + len(ins) > len(self.word):
             raise DiagramError(f"gate {gate_str(gate)} out of range at {pos}")
-        toks = tuple(self.word[pos : pos + k])
-        for t, lab in zip(toks, slot_inputs(gate)):
+        for t, lab in zip(self.word[pos : pos + len(ins)], ins):
             if self.labels[t] != lab:
                 raise BoundaryMismatch(pos, self.labels[t], lab)
-        outs = tuple(range(self._next, self._next + len(slot_outputs(gate))))
+        return self.refire(gate, pos)
+
+    def refire(self, gate: Gate, pos: int) -> tuple:
+        """``fire_at`` without its checks: fire again an op of a checked
+        graph, at a position where its input labels are known to sit."""
+        k = len(gate.inputs)
+        toks = tuple(self.word[pos : pos + k])
+        outs = tuple(range(self._next, self._next + len(gate.outputs)))
         self._next += len(outs)
         idx = len(self.ops)
-        for t, lab in zip(outs, slot_outputs(gate)):
+        for t, lab in zip(outs, gate.outputs):
             self.labels[t] = lab
             self.producer[t] = idx
         for t in toks:
             self.consumer[t] = idx
         self.ops.append(Op(gate, pos, toks, outs))
-        self.word[pos : pos + k] = list(outs)
+        self.word[pos : pos + k] = outs
         return outs
+
+    def renumbered(self, phi: Diagram) -> "OpSeq":
+        """``OpSeq.of(phi)`` for the diagram that ``to_diagram(canonical=True)``
+        placed from these firings, read off them without firing again.
+
+        The placement moves the gate objects of the ops, so each gate slot of
+        ``phi`` names its op: walking the layers gives the ops in canonical
+        firing order, with their positions, and their tokens are renumbered
+        in that order.  When two ops fire one gate object a slot cannot name
+        its op, and the firings are done afresh.
+        """
+        index = {id(op.gate): op for op in self.ops}
+        if len(index) < len(self.ops):
+            return OpSeq.of(phi)
+        seq = OpSeq(phi.input)
+        new = dict(zip(self.in_tokens, seq.in_tokens))  # token here -> token there
+        labels, producer, consumer, ops = seq.labels, seq.producer, seq.consumer, seq.ops
+        nxt = seq._next
+        for layer in phi.layers:
+            pos = 0
+            for s in layer:
+                if not isinstance(s, Gate):
+                    pos += 1
+                    continue
+                op, i = index[id(s)], len(ops)
+                ins = tuple(new[t] for t in op.in_tokens)
+                outs = tuple(range(nxt, nxt + len(op.out_tokens)))
+                nxt += len(outs)
+                for old, t in zip(op.out_tokens, outs):
+                    new[old] = t
+                    labels[t] = self.labels[old]
+                    producer[t] = i
+                for t in ins:
+                    consumer[t] = i
+                ops.append(Op(s, pos, ins, outs))
+                pos += len(outs)
+        seq._next = nxt
+        seq.word = [new[t] for t in self.word]
+        return seq
 
     def to_diagram(self, canonical: bool = False) -> Diagram:
         """One layer per op, in firing order.  With ``canonical``, the flagged
@@ -642,7 +693,10 @@ class OpGraph:
     boundary), and ``word``, the tokens live after the last op.  It adds
     each op's ``layer`` and ``column`` (the wire offset of its inputs in that
     layer of ``phi``) and ``by_family``, the op indices of each gate family
-    in firing order.  The tables are read-only mappings over dicts that
+    in firing order.  Given ``placed``, the firings that
+    ``OpSeq.to_diagram(canonical=True)`` placed ``phi`` from, it reads them
+    off those (``OpSeq.renumbered``) and fires nothing.  The tables are
+    read-only mappings over dicts that
     nothing else holds: tuples would read faster, but built and dropped once
     per rewrite step they fill the interpreter's tuple free lists and raise
     peak memory.  It has no ``fire_at`` or ``splice``, its ops are named
@@ -655,8 +709,8 @@ class OpGraph:
         "by_family",
     )
 
-    def __init__(self, phi: Diagram):
-        seq = OpSeq.of(phi)
+    def __init__(self, phi: Diagram, placed: Optional[OpSeq] = None):
+        seq = OpSeq.of(phi) if placed is None else placed.renumbered(phi)
         consumer = dict.fromkeys(seq.labels)
         consumer.update(seq.consumer)
         layer, column, by_family = {}, {}, {}

@@ -25,6 +25,14 @@ for and its graph, keyed by identity, and the next diagram replaces both.
 Diagrams are immutable, so a kept graph cannot go stale.  Schema graphs are
 kept per schema, in a bounded cache; the engine's schemas are the few fixed
 members of the five systems.
+
+``rewrite_block`` hands its result over to the next step: it keeps, in a
+slot apart from that memo, the last result and the firings it was placed
+from, and ``op_graph`` reads the result's graph off those firings when it
+is asked for that diagram, so a normalization fires only its input.  The
+graph is built only then: the oracle's search rewrites one diagram many
+times and asks for few of the results, and priming the memo itself would
+evict the diagram it is still rewriting.
 """
 from __future__ import annotations
 
@@ -86,11 +94,12 @@ def op_graph(phi: Diagram) -> OpGraph:
     """The read-only op graph of ``phi``, built once while the engine steps
     on ``phi`` (see the module docstring)."""
     if _last[0] is not phi:
-        _last[:] = phi, OpGraph(phi)
+        _last[:] = phi, OpGraph(phi, _handed[1] if _handed[0] is phi else None)
     return _last[1]
 
 
 _last: list = [None, None]  # the diagram op_graph built last, and its graph
+_handed: list = [None, None]  # the last rewrite result, and the firings it was placed from
 
 
 def site_of(
@@ -412,11 +421,13 @@ def rewrite_block(
         raise MatchError("computed target changes the block boundary")
     out = OpSeq(phi.input)
     for op in ops[:lo]:
-        out.fire_at(op.gate, op.pos)
+        out.refire(op.gate, op.pos)
     out.splice(target, base)
     for op in ops[hi + 1 :]:
-        out.fire_at(op.gate, op.pos)
-    return out.to_diagram(canonical=True)
+        out.refire(op.gate, op.pos)
+    result = out.to_diagram(canonical=True)
+    _handed[:] = result, out
+    return result
 
 
 def replace_at(phi: Diagram, site: MatchSite, target_schema: Diagram) -> Diagram:

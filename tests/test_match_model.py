@@ -19,6 +19,7 @@ from proofdiag.diagram import (
     CutGate,
     Diagram,
     DiagramError,
+    OpGraph,
     OpSeq,
     R,
     L,
@@ -287,13 +288,18 @@ def _neighbourhood(p, phi) -> set:
 # Placement from a firing sequence, and trusted construction
 
 
+GRAPH_FIELDS = ("in_tokens", "ops", "labels", "producer", "consumer", "word", "layer", "column",
+                "by_family")
+
+
 @pytest.fixture
 def checked_builds(monkeypatch) -> Counter:
     """Check every placement against the canonical form of its one-op
-    layers, and every diagram built with a trusted ``output`` against the
-    validating constructor; count the builders seen."""
+    layers, every diagram built with a trusted ``output`` against the
+    validating constructor, and the graph each rewrite hands over against a
+    fresh one, field by field; count the builders seen."""
     seen = Counter()
-    to_diagram, init = OpSeq.to_diagram, Diagram.__init__
+    to_diagram, init, rewrite = OpSeq.to_diagram, Diagram.__init__, matching.rewrite_block
 
     def checked_to_diagram(seq, canonical=False):
         got = to_diagram(seq, canonical)
@@ -311,8 +317,20 @@ def checked_builds(monkeypatch) -> Counter:
             assert again == self and again.output == self.output, self
             seen[sys._getframe(1).f_code.co_name] += 1
 
+    def checked_rewrite(phi, *args):
+        got = rewrite(phi, *args)
+        placed, seq = matching._handed
+        assert placed is got
+        handed, fresh = OpGraph(got, seq), OpGraph(got)
+        for name in GRAPH_FIELDS:
+            assert getattr(handed, name) == getattr(fresh, name), (name, got)
+        seen["handovers"] += 1
+        return got
+
     monkeypatch.setattr(OpSeq, "to_diagram", checked_to_diagram)
     monkeypatch.setattr(Diagram, "__init__", checked_init)
+    for module in (matching, bigtwist):  # every binding of rewrite_block
+        monkeypatch.setattr(module, "rewrite_block", checked_rewrite)
     return seen
 
 
@@ -328,14 +346,14 @@ def test_placement_and_trusted_builds_on_the_sem_normalizations(
         want = canon(model_rep(d, True))  # built by compose_seq and compose_par
         assert phi.layers == want.layers and phi.output == want.output
         assert phi._canonical == len(phi.layers)
-    assert set(checked_builds) == TRUSTED | {"placements"}
-    assert checked_builds["placements"] > 280
+    assert set(checked_builds) == TRUSTED | {"placements", "handovers"}
+    assert checked_builds["placements"] > 280 and checked_builds["handovers"] > 200
 
 
 def test_placement_and_trusted_builds_on_the_bfs_neighbourhood(checked_builds):
     assert len(_neighbourhood(polygraph("Sem"), _critical_peak())) > 300
-    assert set(checked_builds) == TRUSTED | {"placements"}
-    assert checked_builds["placements"] > 1000
+    assert set(checked_builds) == TRUSTED | {"placements", "handovers"}
+    assert checked_builds["placements"] > 1000 and checked_builds["handovers"] > 1000
 
 
 def test_placement_hoists_a_leaf_over_a_cut_where_the_canonical_form_keeps_the_gap():
@@ -367,8 +385,10 @@ def test_polygraph_is_built_once_per_name():
         assert polygraph(name) is polygraph(name)
 
 
-def test_normalize_builds_one_graph_per_diagram_and_schema_member(monkeypatch):
-    # wrap OpSeq.of as the benchmark's tracer does, and record what it built
+def test_normalize_fires_only_its_input_and_the_schema_members(monkeypatch):
+    # wrap OpSeq.of as the benchmark's tracer does, and record what it built:
+    # each rewrite hands its result's graph over, so no step after the
+    # first fires its diagram again
     built = []
     of = OpSeq.__dict__["of"].__func__
 
@@ -388,12 +408,34 @@ def test_normalize_builds_one_graph_per_diagram_and_schema_member(monkeypatch):
     monkeypatch.undo()
     assert "cut-tensor-par" in [r for r, _ in trace.steps]
     assert max(Counter(built).values()) == 1
-    path = [canon(phi)]
-    for rule_name, site in trace.steps:
-        path.append(sem.rule(rule_name).apply(path[-1], site))
     members = {s for rule in sem.rules for key in rule.keys(phi) for s in rule.pair(*key)}
-    assert len(built) <= len(set(path)) + len(members)
-    assert set(built) <= set(path) | members
+    assert set(built) <= {canon(phi)} | members and canon(phi) in built
+
+
+def test_the_oracle_neighbourhood_builds_one_graph_per_expanded_diagram(monkeypatch):
+    # a rewrite's result gets its graph only when it is expanded, and the
+    # diagram being expanded keeps its own between its rewrites
+    sem = polygraph("Sem")
+    built = []
+    init = OpGraph.__init__
+
+    def recorded(self, phi, placed=None):
+        if sys._getframe(1).f_code.co_name != "_checked_schema":
+            built.append(phi)
+        init(self, phi, placed)
+
+    monkeypatch.setattr(OpGraph, "__init__", recorded)
+    expanded = []
+    seen, frontier = {_critical_peak()}, [_critical_peak()]
+    for _ in range(6):
+        expanded += frontier
+        frontier = [
+            nxt
+            for phi in frontier
+            for _, nxt in oracle._neighbors(sem, phi)[0]
+            if nxt not in seen and not seen.add(nxt)
+        ]
+    assert len(expanded) > 100 and sorted(map(id, built)) == sorted(map(id, expanded))
 
 
 def test_the_shared_graph_is_read_only():
