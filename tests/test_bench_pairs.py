@@ -103,10 +103,18 @@ def test_parse_claim():
         bench_pairs.parse_claim("cutelim:items", ["cutelim"], METRICS)
 
 
+PER_LAYER = [
+    {"name": "diagram.OpSeq.of.calls", "unit": "count", "better": "lower"},
+    {"name": "diagram.OpSeq.of.self_s", "unit": "s", "better": "lower"},
+    {"name": "polygraph.steps", "unit": "count", "better": "lower"},
+]
+
+
 def _fake_checkouts(monkeypatch, tmp_path):
     def checkout(rev, dest):
         dest.mkdir(parents=True)
-        (dest / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+        bench = {"end_to_end": METRICS, "per_layer": PER_LAYER}
+        (dest / "BENCHMARK.json").write_text(json.dumps(bench))
         return dest
 
     monkeypatch.setattr(bench_pairs, "checkout", checkout)
@@ -137,6 +145,36 @@ def test_each_seed_prints_its_own_digest_equality(tmp_path, monkeypatch, capsys)
     ]
     doc = json.loads((tmp_path / "BENCH_t.json").read_text())
     assert doc["runs"]["final"]["workloads"]["cutelim"]["digests_equal"] == [False, True, True]
+
+
+def test_counts_compare_every_count_metric_of_one_traced_run_per_side(
+    tmp_path, monkeypatch, capsys
+):
+    traced = []
+
+    def run_once(tree, workload, seed, seconds, trace=0):
+        if not trace:
+            return _record(seed, 1.0, 100)
+        traced.append((tree.name, workload, seed))
+        of = 955 if tree.name == "parent" else 162
+        values = {"diagram.OpSeq.of.calls": of, "diagram.OpSeq.of.self_s": of / 1000,
+                  "polygraph.steps": 7}
+        return {"meta": {"seed": seed, "digest": "d"},
+                "result": {"failed": 0, "metrics": {k: {"value": v} for k, v in values.items()}}}
+
+    _fake_checkouts(monkeypatch, tmp_path)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    assert _main(tmp_path, "1-2", "--counts", "101") == 0
+    assert traced == [("parent", "cutelim", 101), ("change", "cutelim", 101)]
+    doc = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert "--seed 101" in doc["counts_command"] and "--trace 1" in doc["counts_command"]
+    counts = doc["runs"]["final"]["workloads"]["cutelim"]["counts"]
+    assert counts == {"seed": 101, "metrics": {
+        "diagram.OpSeq.of.calls": {"parent": 955, "change": 162, "equal": False},
+        "polygraph.steps": {"parent": 7, "change": 7, "equal": True},
+    }}
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == "cutelim counts seed 101: 1 of 2 equal; differ: diagram.OpSeq.of.calls"
 
 
 @pytest.mark.parametrize("claim", ["tower:wall_s", "cutelim:no_such_metric"])

@@ -2,7 +2,7 @@
 
     python3 tools/bench_pairs.py --parent REV --change REV --name NAME \\
         --workloads cutelim,oracle --seeds 601-610 [--seconds 15] \\
-        [--claim cutelim:items_per_s] [--what TEXT] [--workdir DIR]
+        [--claim cutelim:items_per_s] [--counts SEED] [--what TEXT] [--workdir DIR]
 
 Both revisions are extracted with ``git archive`` into clean directories
 under ``--workdir`` (a fresh temporary directory by default), so that
@@ -19,7 +19,11 @@ parent's, positive when worse), whether that stays within the bound, and
 the metric's ``verdict`` (``metric_verdict``); per pair, whether its
 digests are equal and its ``failed`` counts; and, with ``--claim``, the
 verdict of the claim rule: the change wins at least nine in ten pairs and
-the medians differ by more than the parent's interquartile range.  A claim
+the medians differ by more than the parent's interquartile range.  With
+``--counts SEED``, one ``--trace 1`` run per side and workload records every
+``count`` per-layer metric of ``BENCHMARK.json`` under the workload's
+``counts``, with the parent's value, the change's and whether they are
+equal.  A claim
 whose workload is not in ``--workloads``, or whose metric is not one of
 ``BENCHMARK.json``'s ``end_to_end`` metrics, exits 2 before any run.  The file
 is rewritten after every pair, so an interrupted run keeps what it measured.
@@ -57,11 +61,11 @@ def checkout(rev: str, dest: Path) -> Path:
     return dest
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     """One ``perfbench/run.py`` run: its metadata line and its result line."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds)],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True,
     )
     if proc.returncode != 0:
@@ -126,6 +130,15 @@ def summarize(runs: list, metrics: list) -> dict:
     return out
 
 
+def compare_counts(parent: dict, change: dict, names: list) -> dict:
+    """Each count metric of two traced runs: both values and their equality."""
+    out = {}
+    for name in names:
+        p, c = (r["result"]["metrics"][name]["value"] for r in (parent, change))
+        out[name] = {"parent": p, "change": c, "equal": p == c}
+    return out
+
+
 def claim_verdict(entry: dict, workload: str, metric: str, higher: bool) -> dict:
     m = entry["metrics"][metric]
     pq, cq = m["parent_q1_med_q3"], m["change_q1_med_q3"]
@@ -174,13 +187,17 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", required=True, help="e.g. 601-610 or 601,603-605")
     ap.add_argument("--seconds", type=float, default=15)
     ap.add_argument("--claim", help="workload:metric of the claimed gain")
+    ap.add_argument("--counts", type=int, metavar="SEED",
+                    help="also compare the count metrics of one traced run per side")
     ap.add_argument("--what", default="", help="what the change is, for the file")
     ap.add_argument("--workdir", help="where the checkouts go (default: a temporary directory)")
     args = ap.parse_args(argv)
 
     work = Path(args.workdir or tempfile.mkdtemp(prefix="bench_pairs_"))
     trees = {side: checkout(getattr(args, side), work / side) for side in ("parent", "change")}
-    metrics = json.loads((trees["change"] / "BENCHMARK.json").read_text())["end_to_end"]
+    bench = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+    metrics = bench["end_to_end"]
+    counted = [m["name"] for m in bench.get("per_layer", ()) if m["unit"] == "count"]
     out_path = ROOT / f"BENCH_{args.name}.json"
     doc = {
         "what": args.what or f"{args.change} against its parent {args.parent}",
@@ -189,6 +206,9 @@ def main(argv=None) -> int:
         "host": {"cpus": os.cpu_count(), "python": platform.python_version(),
                  "note": "times are on perfbench's adjusted clock"},
         "claim": None,
+        "counts_command": None if args.counts is None else
+                          f"python3 perfbench/run.py --workload W --seed {args.counts} "
+                          f"--seconds {args.seconds:g} --trace 1, once in each checkout",
         "runs": {"final": {"note": f"parent {args.parent} and change {args.change}, both as "
                                    f"clean archives; seeds {args.seeds}", "workloads": {}}},
     }
@@ -213,6 +233,15 @@ def main(argv=None) -> int:
             out_path.write_text(json.dumps(doc, indent=1) + "\n")
             print(f"{workload} seed {seed}: digests equal {entry['digests_equal'][-1]}, "
                   f"failed {entry['failed'][-1]}", flush=True)
+        if args.counts is not None:
+            rec = {side: run_once(trees[side], workload, args.counts, args.seconds, trace=1)
+                   for side in ("parent", "change")}
+            counts = compare_counts(rec["parent"], rec["change"], counted)
+            entry["counts"] = {"seed": args.counts, "metrics": counts}
+            out_path.write_text(json.dumps(doc, indent=1) + "\n")
+            differ = [name for name, v in counts.items() if not v["equal"]]
+            print(f"{workload} counts seed {args.counts}: {len(counts) - len(differ)} of "
+                  f"{len(counts)} equal; differ: {', '.join(differ) or 'none'}", flush=True)
     return 0
 
 
