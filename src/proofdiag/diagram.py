@@ -477,7 +477,7 @@ def _landing(above: list[Slot], p: int, k: int) -> Optional[tuple[int, int]]:
     return at, w
 
 
-def _hoist(grid: list[list[Slot]], gate: Gate, li: int, at: int, w: int) -> int:
+def _hoist(grid: list, gate: Gate, li: int, at: int, w: int) -> int:
     """Lift ``gate``, at slot ``at`` and input wire ``w`` of ``grid[li]``, as
     far up as its wires allow, and return the layer it lands in.  With ``li
     == len(grid)`` it comes from below the grid, from no layer yet."""
@@ -524,7 +524,7 @@ def interchange_canonical_form(phi: Diagram) -> Diagram:
         # Of two gate-free layers in a row only the upper one is kept.  Gates
         # that land in it put a 0-input gate before a cut at its wire, as in
         # any layer (the cut-order gap); without it they keep their order.
-        if len(grid) > 1 and not any(isinstance(s, Gate) for s in (*grid[-2], *grid[-1])):
+        if len(grid) > 1 and not any(isinstance(s, Gate) for row in grid[-2:] for s in row):
             grid.pop()
     if grid and not any(isinstance(s, Gate) for s in grid[-1]):
         grid.pop()

@@ -29,6 +29,8 @@ from proofdiag.diagram import (
     gate_count,
     identity,
     interchange_canonical_form as canon,
+    parallel,
+    single,
 )
 from proofdiag.diagramio import parse_derivation
 from proofdiag.formula import Tensor, atom, negate
@@ -356,6 +358,20 @@ def test_placement_and_trusted_builds_on_the_bfs_neighbourhood(checked_builds):
     assert checked_builds["placements"] > 1000 and checked_builds["handovers"] > 1000
 
 
+def test_a_rewrite_of_one_gate_object_in_two_slots_hands_over_the_same_graph():
+    # parallel copies of one diagram share its gate objects, so a slot does
+    # not name its op; the handed-over graph is then fired afresh
+    tw = single(TwistGate(a, b))
+    phi = canon(parallel(tw, tw, tw))
+    assert len({id(g) for g in phi.gate_list()}) == 1
+    got = rewrite_block(phi, (1,), lambda local: local)
+    placed, seq = matching._handed
+    assert placed is got and got == phi
+    handed, fresh = OpGraph(got, seq), OpGraph(got)
+    for name in GRAPH_FIELDS:
+        assert getattr(handed, name) == getattr(fresh, name), name
+
+
 def test_placement_hoists_a_leaf_over_a_cut_where_the_canonical_form_keeps_the_gap():
     seq = OpSeq((a, negate(a)))
     seq.fire_at(CutGate(a, False), 0)
@@ -385,7 +401,7 @@ def test_polygraph_is_built_once_per_name():
         assert polygraph(name) is polygraph(name)
 
 
-def test_normalize_fires_only_its_input_and_the_schema_members(monkeypatch):
+def test_normalize_builds_one_graph_per_diagram_and_schema_member(monkeypatch):
     # wrap OpSeq.of as the benchmark's tracer does, and record what it built:
     # each rewrite hands its result's graph over, so no step after the
     # first fires its diagram again
@@ -415,26 +431,21 @@ def test_normalize_fires_only_its_input_and_the_schema_members(monkeypatch):
 def test_the_oracle_neighbourhood_builds_one_graph_per_expanded_diagram(monkeypatch):
     # a rewrite's result gets its graph only when it is expanded, and the
     # diagram being expanded keeps its own between its rewrites
-    sem = polygraph("Sem")
-    built = []
-    init = OpGraph.__init__
+    built, expanded = [], []
+    init, neighbors = OpGraph.__init__, oracle._neighbors
 
     def recorded(self, phi, placed=None):
         if sys._getframe(1).f_code.co_name != "_checked_schema":
             built.append(phi)
         init(self, phi, placed)
 
+    def expand(p, phi):
+        expanded.append(phi)
+        return neighbors(p, phi)
+
     monkeypatch.setattr(OpGraph, "__init__", recorded)
-    expanded = []
-    seen, frontier = {_critical_peak()}, [_critical_peak()]
-    for _ in range(6):
-        expanded += frontier
-        frontier = [
-            nxt
-            for phi in frontier
-            for _, nxt in oracle._neighbors(sem, phi)[0]
-            if nxt not in seen and not seen.add(nxt)
-        ]
+    monkeypatch.setattr(oracle, "_neighbors", expand)
+    _neighbourhood(polygraph("Sem"), _critical_peak())
     assert len(expanded) > 100 and sorted(map(id, built)) == sorted(map(id, expanded))
 
 

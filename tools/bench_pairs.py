@@ -197,7 +197,7 @@ def main(argv=None) -> int:
     trees = {side: checkout(getattr(args, side), work / side) for side in ("parent", "change")}
     bench = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     metrics = bench["end_to_end"]
-    counted = [m["name"] for m in bench.get("per_layer", ()) if m["unit"] == "count"]
+    counted = [m["name"] for m in bench["per_layer"] if m["unit"] == "count"]
     out_path = ROOT / f"BENCH_{args.name}.json"
     doc = {
         "what": args.what or f"{args.change} against its parent {args.parent}",
